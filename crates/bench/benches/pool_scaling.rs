@@ -8,7 +8,6 @@ use dsx_bench::pr5::{self, Pr5Report, ServeRow};
 use dsx_core::BackendKind;
 use dsx_serve::{build_serving_model, run_load, serving_spec, LoadConfig, ServeConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 const KERNEL_SAMPLES: usize = 11;
 const POOL_REPEATS: usize = 11;
@@ -28,10 +27,7 @@ fn measure_serve() -> Vec<ServeRow> {
                 &LoadConfig {
                     requests: SERVE_REQUESTS,
                     concurrency: 8,
-                    engine: ServeConfig::default()
-                        .with_max_batch(8)
-                        .with_max_wait(Duration::from_micros(2000))
-                        .with_workers(1),
+                    engine: ServeConfig::default().with_max_batch(8).with_workers(1),
                 },
             );
             ServeRow {

@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! dsx-serve [--requests N] [--concurrency N] [--backend <naive|blocked|tiled|swsum>]
-//!           [--max-batch N] [--max-wait-us N] [--workers N]
+//!           [--max-batch N] [--workers N]
 //!           [--queue-capacity N] [--par-threads N] [--skip-serial]
-//!           [--adaptive] [--model PATH]
+//!           [--model PATH]
 //!           [--trace-out PATH] [--stats-every S]
 //!           [--listen IP:PORT [--serve-secs S] [--max-conns N] [--idle-secs S]
 //!                             [--max-inflight N]]
@@ -43,7 +43,7 @@
 //! `--trace-out PATH` turns on `dsx-obs` tracing for the whole run and
 //! writes a Chrome trace-event JSON file on exit — load it in Perfetto or
 //! `chrome://tracing` to see pool jobs/steals, per-layer forwards, GEMM
-//! calls, batch assembly and wire reads/writes on one timeline. Because the
+//! calls, batches and wire reads/writes on one timeline. Because the
 //! export happens at process exit, `--trace-out` with `--listen` requires
 //! `--serve-secs` (a listen-forever server would never write the file).
 //!
@@ -64,10 +64,7 @@ use dsx_core::BackendKind;
 use dsx_models::{model_digest, Checkpoint};
 use dsx_net::{NetLoadConfig, NetServer, NetServerConfig, ReloadFn, RetryPolicy};
 use dsx_serve::loadgen::INPUT_HW;
-use dsx_serve::{
-    build_serving_model, run_load, run_serial, serving_spec, AdaptiveWaitConfig, LoadConfig,
-    ServeConfig,
-};
+use dsx_serve::{build_serving_model, run_load, run_serial, serving_spec, LoadConfig, ServeConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -80,7 +77,6 @@ struct Cli {
     concurrency: usize,
     backend: BackendKind,
     max_batch: usize,
-    max_wait: Duration,
     workers: usize,
     queue_capacity: usize,
     /// Kernel-level threads inside one forward pass. Defaults to 1 so the
@@ -88,8 +84,6 @@ struct Cli {
     /// and batched-vs-serial numbers compare like for like.
     par_threads: usize,
     skip_serial: bool,
-    /// Enable the adaptive `max_wait` controller on the engine.
-    adaptive: bool,
     /// Serve the engine over TCP on this address.
     listen: Option<SocketAddr>,
     /// Drive a remote server at this address instead of running locally.
@@ -125,14 +119,12 @@ impl Default for Cli {
             concurrency: 16,
             backend: BackendKind::Blocked,
             max_batch: 8,
-            max_wait: Duration::from_micros(2000),
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             queue_capacity: 32,
             par_threads: 1,
             skip_serial: false,
-            adaptive: false,
             listen: None,
             connect: None,
             serve_secs: None,
@@ -149,8 +141,8 @@ impl Default for Cli {
 }
 
 const USAGE: &str = "usage: dsx-serve [--requests N] [--concurrency N] \
-[--backend <naive|blocked|tiled|swsum>] [--max-batch N] [--max-wait-us N] [--workers N] \
-[--queue-capacity N] [--par-threads N] [--skip-serial] [--adaptive] [--model PATH] \
+[--backend <naive|blocked|tiled|swsum>] [--max-batch N] [--workers N] \
+[--queue-capacity N] [--par-threads N] [--skip-serial] [--model PATH] \
 [--trace-out PATH] [--stats-every S] \
 [--listen IP:PORT [--serve-secs S] [--max-conns N] [--idle-secs S] [--max-inflight N]] | \
 [--connect IP:PORT [--deadline-us N] [--retries N]]";
@@ -193,14 +185,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     return Err(format!("--max-batch must be at least 1\n{USAGE}"));
                 }
             }
-            "--max-wait-us" => {
-                cli.max_wait = Duration::from_micros(parse_usize(flag, value(flag)?)? as u64)
-            }
             "--workers" => cli.workers = parse_usize(flag, value(flag)?)?.max(1),
             "--queue-capacity" => cli.queue_capacity = parse_usize(flag, value(flag)?)?.max(1),
             "--par-threads" => cli.par_threads = parse_usize(flag, value(flag)?)?,
             "--skip-serial" => cli.skip_serial = true,
-            "--adaptive" => cli.adaptive = true,
             "--listen" => cli.listen = Some(parse_addr(flag, value(flag)?)?),
             "--connect" => cli.connect = Some(parse_addr(flag, value(flag)?)?),
             "--model" => cli.model = Some(PathBuf::from(value(flag)?)),
@@ -270,11 +258,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     }
     if cli.serve_secs.is_some() && cli.listen.is_none() {
         return Err(format!("--serve-secs only applies with --listen\n{USAGE}"));
-    }
-    if cli.adaptive && cli.connect.is_some() {
-        return Err(format!(
-            "--adaptive tunes the local engine; it has no effect with --connect\n{USAGE}"
-        ));
     }
     if cli.model.is_some() && cli.connect.is_some() {
         return Err(format!(
@@ -360,18 +343,12 @@ fn load_model_checkpoint(path: &std::path::Path) -> Checkpoint {
 
 /// The engine configuration the in-process and `--listen` modes share.
 fn engine_config(cli: &Cli) -> ServeConfig {
-    let mut config = ServeConfig {
+    ServeConfig {
         max_batch: cli.max_batch,
-        max_wait: cli.max_wait,
         queue_capacity: cli.queue_capacity,
         workers: cli.workers,
         request_dims: None,
-        adaptive: None,
-    };
-    if cli.adaptive {
-        config.adaptive = Some(AdaptiveWaitConfig::default());
     }
-    config
 }
 
 /// Stops recording and writes the Chrome trace when `--trace-out` was
@@ -503,12 +480,8 @@ fn main() {
         engine: engine_config(&cli),
     };
     println!(
-        "batched engine: max_batch {}, max_wait {} us{}, {} workers, {} clients",
-        cli.max_batch,
-        cli.max_wait.as_micros(),
-        if cli.adaptive { " (adaptive)" } else { "" },
-        cli.workers,
-        cli.concurrency
+        "batched engine: max_batch {}, {} workers, {} clients",
+        cli.max_batch, cli.workers, cli.concurrency
     );
     let snapshot = run_load(Arc::clone(&model), &cfg);
     println!("batched: {snapshot}");
@@ -652,15 +625,15 @@ mod tests {
             "32",
             "--backend=naive",
             "--max-batch=4",
-            "--max-wait-us",
-            "500",
+            "--workers",
+            "3",
             "--skip-serial",
         ]))
         .unwrap();
         assert_eq!(cli.requests, 32);
         assert_eq!(cli.backend, BackendKind::Naive);
         assert_eq!(cli.max_batch, 4);
-        assert_eq!(cli.max_wait, Duration::from_micros(500));
+        assert_eq!(cli.workers, 3);
         assert!(cli.skip_serial);
     }
 
@@ -713,11 +686,12 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_conflicts_with_connect_but_not_listen() {
-        assert!(parse_cli(&args(&["--connect", "127.0.0.1:1", "--adaptive"])).is_err());
-        let cli = parse_cli(&args(&["--listen", "127.0.0.1:0", "--adaptive"])).unwrap();
-        assert!(cli.adaptive);
-        assert!(engine_config(&cli).adaptive.is_some());
+    fn removed_batch_wait_flags_are_unknown_flags() {
+        for removed in [&["--adaptive"][..], &["--max-wait-us", "500"]] {
+            let err = parse_cli(&args(removed)).unwrap_err();
+            assert!(err.contains("unknown flag"), "{err}");
+            assert!(err.contains("usage: dsx-serve"), "{err}");
+        }
     }
 
     #[test]

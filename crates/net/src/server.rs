@@ -3,7 +3,7 @@
 //! [`ServeEngine`].
 //!
 //! Data path: a connection's **reader** parses request frames off the
-//! socket and calls [`ServeHandle::submit_tagged_deadline`](dsx_serve::ServeHandle::submit_tagged_deadline),
+//! socket and calls [`ServeHandle::submit_tagged`](dsx_serve::ServeHandle::submit_tagged),
 //! which routes every engine outcome — served output, shape rejection,
 //! deadline shed, batch failure — onto the connection's `done` channel
 //! keyed by request id. The **writer** drains that channel and streams
@@ -243,12 +243,6 @@ impl NetServer {
     /// would keep the engine's queue open and stall the drain).
     pub fn stats_arc(&self) -> Arc<dsx_serve::ServeStats> {
         self.engine.stats_arc()
-    }
-
-    /// The batcher's current `max_wait` (moves under the adaptive
-    /// controller).
-    pub fn max_wait(&self) -> Duration {
-        self.engine.max_wait()
     }
 
     /// Stops accepting, closes every connection, drains the engine and
@@ -513,12 +507,17 @@ fn drain_responses(
                 message: err.to_string(),
             },
         };
-        let sent = send_frame(out, &frame);
         // The request is answered (or undeliverable) either way: it no
-        // longer counts against the connection's in-flight cap.
+        // longer counts against the connection's in-flight cap. Released
+        // *before* the write, so a client that sends its next request the
+        // moment it reads this answer is never refused for the request
+        // this answer retires; the activity stamp moves first so the idle
+        // sweep never sees "nothing in flight" next to a stale stamp.
+        touch(last_activity, epoch);
         // ORDER: racy-tolerant gauge — the reader's admission check
         // tolerates off-by-one staleness.
         inflight.fetch_sub(1, Ordering::Relaxed);
+        let sent = send_frame(out, &frame);
         match sent {
             Ok(()) => touch(last_activity, epoch),
             Err(e) => {
@@ -610,7 +609,7 @@ fn reader_loop(ctx: ReaderCtx<'_>) {
                 // ORDER: racy-tolerant gauge (see admission check above).
                 inflight.fetch_add(1, Ordering::Relaxed);
                 let deadline = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
-                handle.submit_tagged_deadline(id, tensor, deadline, done);
+                handle.submit_tagged(id, tensor, deadline, done);
             }
             Ok(Frame::Reload { id }) => {
                 touch(last_activity, epoch);

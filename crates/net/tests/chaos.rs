@@ -12,6 +12,9 @@
 //! * `DSX_CHAOS_SEED` — fault-plan seed (default 42). A failing seed
 //!   replays bit-identically: the plan is a pure function of the seed.
 
+mod common;
+
+use common::SlowIdentity;
 use dsx_chaos::{ChaosProxy, FaultKind, FaultMix, FaultPlan};
 use dsx_core::BackendKind;
 use dsx_net::{
@@ -48,10 +51,7 @@ fn chaos_model() -> Arc<dyn Layer> {
 }
 
 fn quick_config() -> ServeConfig {
-    ServeConfig::default()
-        .with_workers(2)
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2))
+    ServeConfig::default().with_workers(2).with_max_batch(4)
 }
 
 /// A client tuned for a hostile network: short socket timeouts (so black
@@ -68,34 +68,6 @@ fn resilient_config(read_timeout: Duration, max_attempts: u32) -> ClientConfig {
             jitter: 0.5,
             seed: chaos_seed(),
         },
-    }
-}
-
-/// A model that holds its worker for `delay` — for pinning the batcher.
-struct SlowIdentity {
-    delay: Duration,
-}
-
-impl Layer for SlowIdentity {
-    fn name(&self) -> String {
-        "slow-identity".to_string()
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.infer(input)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        std::thread::sleep(self.delay);
-        input.clone()
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        grad_output.clone()
-    }
-
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        input_shape.to_vec()
     }
 }
 
@@ -172,10 +144,7 @@ fn expired_deadlines_come_back_as_typed_error_frames() {
         Arc::new(SlowIdentity {
             delay: Duration::from_millis(60),
         }),
-        ServeConfig::default()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_max_wait(Duration::ZERO),
+        ServeConfig::default().with_workers(1).with_max_batch(1),
     )
     .unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
@@ -319,12 +288,7 @@ fn pipelining_past_the_inflight_cap_is_rejected_per_request() {
         }),
         NetServerConfig {
             max_inflight: Some(1),
-            ..NetServerConfig::from(
-                ServeConfig::default()
-                    .with_workers(1)
-                    .with_max_batch(1)
-                    .with_max_wait(Duration::ZERO),
-            )
+            ..NetServerConfig::from(ServeConfig::default().with_workers(1).with_max_batch(1))
         },
         None,
     )
@@ -420,12 +384,7 @@ fn resilience_counters_surface_in_the_wire_stats_snapshot() {
         }),
         NetServerConfig {
             max_inflight: Some(1),
-            ..NetServerConfig::from(
-                ServeConfig::default()
-                    .with_workers(1)
-                    .with_max_batch(1)
-                    .with_max_wait(Duration::ZERO),
-            )
+            ..NetServerConfig::from(ServeConfig::default().with_workers(1).with_max_batch(1))
         },
         None,
     )

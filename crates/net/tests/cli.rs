@@ -60,8 +60,9 @@ fn serve_secs_without_listen_is_rejected() {
 }
 
 #[test]
-fn adaptive_with_connect_is_rejected() {
-    assert_flag_error(&["--connect", "127.0.0.1:1", "--adaptive"], "--adaptive");
+fn removed_batch_wait_flags_exit_two_as_unknown() {
+    assert_flag_error(&["--listen", "127.0.0.1:0", "--adaptive"], "unknown flag");
+    assert_flag_error(&["--max-wait-us", "500"], "unknown flag");
 }
 
 #[test]
@@ -235,7 +236,7 @@ fn spawn_listener(extra: &[&str]) -> (Child, String) {
 
 #[test]
 fn listen_and_connect_round_trip_over_a_real_socket() {
-    let (mut server, addr) = spawn_listener(&["--adaptive"]);
+    let (mut server, addr) = spawn_listener(&[]);
     let out = run(&[
         "--connect",
         &addr,

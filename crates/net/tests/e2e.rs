@@ -2,6 +2,9 @@
 //! concurrent clients with interleaved request ids, protocol-error
 //! handling, and survival of misbehaving peers.
 
+mod common;
+
+use common::SlowIdentity;
 use dsx_net::{protocol, ErrorCode, Frame, NetClient, NetServer, WireError};
 use dsx_nn::{GlobalAvgPool, Layer, Linear, ReLU, Sequential};
 use dsx_serve::ServeConfig;
@@ -26,10 +29,7 @@ fn request(seed: u64) -> Tensor {
 }
 
 fn quick_config() -> ServeConfig {
-    ServeConfig::default()
-        .with_workers(2)
-        .with_max_batch(4)
-        .with_max_wait(Duration::from_millis(2))
+    ServeConfig::default().with_workers(2).with_max_batch(4)
 }
 
 #[test]
@@ -204,16 +204,20 @@ fn truncated_frame_then_disconnect_leaves_the_server_healthy() {
 
 #[test]
 fn client_disconnecting_mid_request_cancels_quietly() {
-    let model = tiny_model();
+    // A slow forward pass guarantees the request is still in flight when
+    // the client vanishes.
+    let model: Arc<dyn Layer> = Arc::new(
+        Sequential::new("slow-net")
+            .push(SlowIdentity {
+                delay: Duration::from_millis(150),
+            })
+            .push(GlobalAvgPool::new())
+            .push(Linear::new(2, 3, 7)),
+    );
     let server = NetServer::start(
         "127.0.0.1:0",
-        Arc::clone(&model),
-        // A long max_wait guarantees the request is still in flight when
-        // the client vanishes.
-        ServeConfig::default()
-            .with_workers(1)
-            .with_max_batch(8)
-            .with_max_wait(Duration::from_millis(150)),
+        model,
+        ServeConfig::default().with_workers(1).with_max_batch(8),
     )
     .unwrap();
     {

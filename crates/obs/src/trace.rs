@@ -367,9 +367,29 @@ mod tests {
     // Tests in this binary share the global recorder; each test uses
     // unique event names and only makes additive assertions.
 
+    /// Serialises the tests that depend on the process-global `ENABLED`
+    /// flag: holds a lock for the test's whole window, sets the flag, and
+    /// restores `false` on drop (also when the test panics).
+    struct Recording {
+        _owner: MutexGuard<'static, ()>,
+    }
+
+    fn recording(on: bool) -> Recording {
+        static FLAG_OWNER: Mutex<()> = Mutex::new(());
+        let _owner = lock(&FLAG_OWNER);
+        enable(on);
+        Recording { _owner }
+    }
+
+    impl Drop for Recording {
+        fn drop(&mut self) {
+            enable(false);
+        }
+    }
+
     #[test]
     fn disabled_spans_record_nothing() {
-        enable(false);
+        let _flag = recording(false);
         {
             let _g = span("test", "test.disabled.span");
             instant("test", "test.disabled.instant");
@@ -381,13 +401,13 @@ mod tests {
 
     #[test]
     fn enabled_spans_record_with_duration_and_tid() {
-        enable(true);
+        let flag = recording(true);
         {
             let _g = span_arg("test", "test.enabled.span", "n", 7);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         instant("test", "test.enabled.instant");
-        enable(false);
+        drop(flag);
 
         let events = collected_events();
         let span_ev = events
@@ -407,7 +427,7 @@ mod tests {
 
     #[test]
     fn span_with_skips_name_construction_when_disabled() {
-        enable(false);
+        let _flag = recording(false);
         let _g = span_with("test", || {
             // lint: allow(panic) — test: must not run while disabled
             panic!("name closure ran on the disabled path")
@@ -425,7 +445,7 @@ mod tests {
 
     #[test]
     fn spans_from_spawned_threads_get_distinct_tids() {
-        enable(true);
+        let flag = recording(true);
         let handle = std::thread::Builder::new()
             .name("obs-test-worker".to_owned())
             .spawn(|| {
@@ -435,7 +455,7 @@ mod tests {
         handle.join().unwrap();
         let _g = span("test", "test.main.span");
         drop(_g);
-        enable(false);
+        drop(flag);
 
         let events = collected_events();
         let worker = events
@@ -461,11 +481,11 @@ mod tests {
 
     #[test]
     fn events_are_sorted_by_start_time() {
-        enable(true);
+        let flag = recording(true);
         for _ in 0..3 {
             let _g = span("test", "test.sorted.span");
         }
-        enable(false);
+        drop(flag);
         let events = collected_events();
         assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }

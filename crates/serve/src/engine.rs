@@ -3,12 +3,19 @@
 //! Many clients submit single-request tensors through clonable
 //! [`ServeHandle`]s into one bounded MPMC queue (backpressure: submissions
 //! block while the queue is full). A pool of worker threads drains the
-//! queue; each worker gathers up to `max_batch` requests — waiting at most
-//! `max_wait` after the first one arrives — stacks them into one batched
-//! NCHW tensor ([`Tensor::cat_batch`]), runs a **single** [`Layer::infer`]
-//! on the shared `Arc` model, and scatters the per-request slices of the
-//! output back through per-request response channels
-//! ([`Tensor::split_batch`]).
+//! queue under one work-conserving policy: a worker blocks for one live
+//! request, takes everything *already queued* — up to `max_batch` — with
+//! non-blocking receives, stacks the lot into one batched NCHW tensor
+//! ([`Tensor::cat_batch`]), runs a **single** [`Layer::infer`] on the
+//! shared `Arc` model, and scatters the per-request slices of the output
+//! back to the callers ([`Tensor::split_batch`]).
+//!
+//! No timer is involved in forming a batch, and none is needed: requests
+//! that arrive while a worker is inside `infer` queue up behind it and are
+//! exactly its next batch. Batches therefore grow by themselves when — and
+//! only when — the arrival rate exceeds what unbatched serving sustains,
+//! and an idle engine answers a lone request at once instead of holding it
+//! back in the hope of company.
 //!
 //! This is the serving-side counterpart of the paper's kernel argument:
 //! sliding-channel convolution wins by raising the arithmetic intensity of
@@ -21,38 +28,27 @@
 //! [`ServeHandle::swap_model`] a zero-drop hot swap — in-flight batches
 //! finish on the model they pinned, later batches pick up the replacement.
 //!
-//! Two response routes exist: the in-process [`ServeHandle::submit`] hands
-//! back a [`PendingResponse`] (a one-shot channel), while the network
-//! front-end in `dsx-net` uses [`ServeHandle::submit_tagged`], which routes
-//! every outcome — output or error — to a caller-owned channel keyed by a
-//! request id, so one writer thread can stream responses back to a socket
-//! in whatever order batches complete.
-//!
-//! `max_wait` is dynamic: it lives in an atomic the workers re-read per
-//! batch, so [`ServeEngine::set_max_wait`] (or the [`AdaptiveWait`]
-//! controller, when [`ServeConfig::adaptive`] is set) retunes a running
-//! engine without restarting it.
+//! Every outcome — output or error — leaves the engine the same way: as a
+//! [`TaggedResponse`] on the channel the request carries. The network
+//! front-end in `dsx-net` passes its connection's shared channel to
+//! [`ServeHandle::submit_tagged`], so one writer thread can stream
+//! responses back to a socket in whatever order batches complete; the
+//! in-process [`ServeHandle::submit`] makes a private one-slot channel and
+//! wraps its receiving end in a [`PendingResponse`].
 
-use crate::adaptive::{AdaptiveWait, AdaptiveWaitConfig, EpochObservation, WaitAdjustment};
 use crate::stats::{ServeSnapshot, ServeStats};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use dsx_nn::Layer;
 use dsx_tensor::Tensor;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of the batching engine.
+/// Sizing of the batching engine.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Largest number of requests fused into one forward pass.
     pub max_batch: usize,
-    /// How long a partially-filled batch waits for more requests after its
-    /// first one arrived. This is the *initial* value; it can be retuned on
-    /// a running engine ([`ServeEngine::set_max_wait`], or automatically
-    /// via [`ServeConfig::adaptive`]).
-    pub max_wait: Duration,
     /// Bound of the shared request queue; submissions block (backpressure)
     /// while this many requests are already waiting.
     pub queue_capacity: usize,
@@ -63,22 +59,17 @@ pub struct ServeConfig {
     /// submission must carry; mismatches are rejected at `submit` time with
     /// [`ServeError::InvalidRequest`] instead of poisoning a whole batch.
     pub request_dims: Option<Vec<usize>>,
-    /// When set, a controller thread retunes `max_wait` each epoch from the
-    /// live occupancy and queue-depth stats (see [`AdaptiveWait`]).
-    pub adaptive: Option<AdaptiveWaitConfig>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 32,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             request_dims: None,
-            adaptive: None,
         }
     }
 }
@@ -87,12 +78,6 @@ impl ServeConfig {
     /// Sets the largest fused batch (builder style).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the batch-formation deadline (builder style).
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
         self
     }
 
@@ -112,12 +97,6 @@ impl ServeConfig {
     /// dimensions (builder style).
     pub fn with_request_dims(mut self, dims: &[usize]) -> Self {
         self.request_dims = Some(dims.to_vec());
-        self
-    }
-
-    /// Enables the adaptive `max_wait` controller (builder style).
-    pub fn with_adaptive(mut self, adaptive: AdaptiveWaitConfig) -> Self {
-        self.adaptive = Some(adaptive);
         self
     }
 }
@@ -150,9 +129,9 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A completed tagged request: the id the caller supplied plus the served
-/// output (or the error that prevented serving it). Delivered on the
-/// channel given to [`ServeHandle::submit_tagged`].
+/// A completed request: the id the caller supplied plus the served output
+/// (or the error that prevented serving it). Delivered on the channel
+/// given to [`ServeHandle::submit_tagged`].
 #[derive(Debug)]
 pub struct TaggedResponse {
     /// The caller's request id, echoed back.
@@ -161,87 +140,41 @@ pub struct TaggedResponse {
     pub result: Result<Tensor, ServeError>,
 }
 
-/// Where a request's outcome goes.
-enum Route {
-    /// The in-process path: a one-shot channel per request carrying the
-    /// outcome (so a shed request can be told *why* it was not served).
-    /// Dropping the sender unfulfilled is still an error signal on its own
-    /// (the receiver's `recv` fails and maps to `Shutdown`).
-    Oneshot(Sender<Result<Tensor, ServeError>>),
-    /// The network path: outcomes (success *and* failure) are sent to a
-    /// shared per-connection channel, tagged with the request id.
-    Tagged {
-        id: u64,
-        done: Sender<TaggedResponse>,
-    },
-}
-
-/// A request's response slot. If it is dropped before [`Responder::fulfill`]
-/// — the batch panicked, or the queue rejected the send — the tagged route
-/// still delivers an explicit error so no network client waits forever.
+/// A request's response slot: the caller's id and channel, plus the
+/// outcome to deliver. `Drop` is the only sender, and the outcome starts as
+/// `Shutdown`, so a slot dropped before [`Responder::answer`] — the batch
+/// panicked, or the queue rejected the send — still delivers an explicit
+/// error and no caller waits forever.
 struct Responder {
-    route: Option<Route>,
+    id: u64,
+    done: Sender<TaggedResponse>,
+    result: Result<Tensor, ServeError>,
 }
 
 impl Responder {
-    fn oneshot(tx: Sender<Result<Tensor, ServeError>>) -> Self {
+    fn new(id: u64, done: Sender<TaggedResponse>) -> Self {
         Responder {
-            route: Some(Route::Oneshot(tx)),
+            id,
+            done,
+            result: Err(ServeError::Shutdown),
         }
     }
 
-    fn tagged(id: u64, done: Sender<TaggedResponse>) -> Self {
-        Responder {
-            route: Some(Route::Tagged { id, done }),
-        }
-    }
-
-    /// Delivers the served output. A receiver that gave up (dropped its
-    /// end) is not an engine error.
-    fn fulfill(mut self, output: Tensor) {
-        match self.route.take() {
-            Some(Route::Oneshot(tx)) => {
-                let _ = tx.send(Ok(output));
-            }
-            Some(Route::Tagged { id, done }) => {
-                let _ = done.send(TaggedResponse {
-                    id,
-                    result: Ok(output),
-                });
-            }
-            None => {}
-        }
-    }
-
-    /// Delivers a typed failure (today: `DeadlineExceeded` from shedding).
-    /// Both routes get an explicit answer, so no caller is left waiting.
-    fn fail(mut self, err: ServeError) {
-        match self.route.take() {
-            Some(Route::Oneshot(tx)) => {
-                let _ = tx.send(Err(err));
-            }
-            Some(Route::Tagged { id, done }) => {
-                let _ = done.send(TaggedResponse {
-                    id,
-                    result: Err(err),
-                });
-            }
-            None => {}
-        }
+    /// Delivers the outcome: the served output, or a typed failure (today:
+    /// `DeadlineExceeded` from shedding).
+    fn answer(mut self, result: Result<Tensor, ServeError>) {
+        self.result = result;
     }
 }
 
 impl Drop for Responder {
     fn drop(&mut self) {
-        // An unfulfilled oneshot needs no action: dropping the sender makes
-        // the client's `recv` fail, which `PendingResponse::wait` maps to
-        // `ServeError::Shutdown`. The tagged route must say so explicitly.
-        if let Some(Route::Tagged { id, done }) = self.route.take() {
-            let _ = done.send(TaggedResponse {
-                id,
-                result: Err(ServeError::Shutdown),
-            });
-        }
+        let result = std::mem::replace(&mut self.result, Err(ServeError::Shutdown));
+        // A receiver that gave up (dropped its end) is not an engine error.
+        let _ = self.done.send(TaggedResponse {
+            id: self.id,
+            result,
+        });
     }
 }
 
@@ -255,13 +188,6 @@ struct Request {
     /// workers shed it at dequeue (see [`ServeError::DeadlineExceeded`]).
     deadline: Option<Instant>,
     respond: Responder,
-}
-
-impl Request {
-    /// Whether the deadline has passed (`false` when none was set).
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|deadline| now >= deadline)
-    }
 }
 
 /// The shared model slot: workers take a read lock only long enough to
@@ -285,7 +211,7 @@ pub struct ServeHandle {
 
 /// An in-flight request; [`PendingResponse::wait`] blocks for its output.
 pub struct PendingResponse {
-    rx: Receiver<Result<Tensor, ServeError>>,
+    rx: Receiver<TaggedResponse>,
 }
 
 impl PendingResponse {
@@ -294,7 +220,7 @@ impl PendingResponse {
     /// typed reason it was not served (`DeadlineExceeded` when shed,
     /// `Shutdown` when its batch died or the engine is gone).
     pub fn wait(self) -> Result<Tensor, ServeError> {
-        self.rx.recv().map_err(|_| ServeError::Shutdown)?
+        self.rx.recv().map_err(|_| ServeError::Shutdown)?.result
     }
 }
 
@@ -324,97 +250,84 @@ impl ServeHandle {
         Ok(())
     }
 
-    /// Enqueues an inference request, blocking while the queue is full.
-    /// `input` must be a rank-4 NCHW tensor (its batch axis may hold any
-    /// number of samples, including zero) matching the engine's declared
-    /// request dimensions, if any — a mismatch is rejected here, where only
-    /// the offending client pays, not the batch it would have poisoned.
-    pub fn submit(&self, input: Tensor) -> Result<PendingResponse, ServeError> {
-        self.submit_deadline(input, None)
-    }
-
-    /// Like [`ServeHandle::submit`], but the request carries a serving
-    /// `deadline` (a time budget measured from this call): if it is still
-    /// queued when the budget runs out, a worker sheds it at dequeue and
-    /// [`PendingResponse::wait`] returns [`ServeError::DeadlineExceeded`].
-    /// A request already in a batch is always served — shedding happens
-    /// before batch assembly, never mid-batch. A zero budget is shed here,
-    /// at admission.
-    pub fn submit_deadline(
+    /// The one admission sequence: validate, shed a zero budget, enqueue
+    /// (blocking while the queue is full). An `Err` means the request never
+    /// entered the queue and `done` was not used. Once it is queued every
+    /// outcome reports through `done` — including a queue whose workers are
+    /// gone, which hands the request back to be dropped and so answers
+    /// `Shutdown`.
+    fn enqueue(
         &self,
+        id: u64,
         input: Tensor,
         deadline: Option<Duration>,
-    ) -> Result<PendingResponse, ServeError> {
+        done: Sender<TaggedResponse>,
+    ) -> Result<(), ServeError> {
         self.validate(&input)?;
         if deadline.is_some_and(|budget| budget.is_zero()) {
             self.stats.record_shed(1);
             return Err(ServeError::DeadlineExceeded);
         }
+        let enqueued = Instant::now();
+        let _ = self.queue.send(Request {
+            input,
+            enqueued,
+            deadline: deadline.map(|budget| enqueued + budget),
+            respond: Responder::new(id, done),
+        });
+        Ok(())
+    }
+
+    /// Enqueues an inference request, blocking while the queue is full.
+    /// `input` must be a rank-4 NCHW tensor (its batch axis may hold any
+    /// number of samples, including zero) matching the engine's declared
+    /// request dimensions, if any — a mismatch is rejected here, where only
+    /// the offending client pays, not the batch it would have poisoned.
+    ///
+    /// `deadline`, when set, is a serving time budget measured from this
+    /// call: if the request is still queued when the budget runs out, a
+    /// worker sheds it at dequeue and [`PendingResponse::wait`] returns
+    /// [`ServeError::DeadlineExceeded`]. A request already in a batch is
+    /// always served — shedding happens before batch assembly, never
+    /// mid-batch. A zero budget is shed here, at admission.
+    pub fn submit(
+        &self,
+        input: Tensor,
+        deadline: Option<Duration>,
+    ) -> Result<PendingResponse, ServeError> {
         let (tx, rx) = channel::bounded(1);
-        self.queue
-            .send(Request {
-                input,
-                enqueued: Instant::now(),
-                deadline: deadline.map(|budget| Instant::now() + budget),
-                respond: Responder::oneshot(tx),
-            })
-            .map_err(|_| ServeError::Shutdown)?;
+        self.enqueue(0, input, deadline, tx)?;
         Ok(PendingResponse { rx })
     }
 
     /// Enqueues a request whose outcome — the output, a validation
-    /// rejection, or a batch failure — is delivered as a [`TaggedResponse`]
-    /// carrying `id` on the caller's `done` channel. This call itself never
-    /// fails: every path reports through `done`, so a connection's writer
-    /// loop has exactly one stream to watch.
+    /// rejection, a shed `deadline` (see [`ServeHandle::submit`]; the wire
+    /// tier turns it into a `DeadlineExceeded` error frame) or a batch
+    /// failure — is delivered as a [`TaggedResponse`] carrying `id` on the
+    /// caller's `done` channel. This call itself never fails: every path
+    /// reports through `done`, so a connection's writer loop has exactly
+    /// one stream to watch.
     ///
     /// Blocks while the queue is full, like [`ServeHandle::submit`].
-    pub fn submit_tagged(&self, id: u64, input: Tensor, done: &Sender<TaggedResponse>) {
-        self.submit_tagged_deadline(id, input, None, done);
-    }
-
-    /// Like [`ServeHandle::submit_tagged`], but the request carries a
-    /// serving `deadline` (a time budget from this call). If the budget
-    /// expires while the request is queued, a worker sheds it at dequeue
-    /// and `done` receives a typed [`ServeError::DeadlineExceeded`] — the
-    /// wire tier turns that into a `DeadlineExceeded` error frame. Like
-    /// `submit_tagged`, this never fails: every path reports via `done`.
-    pub fn submit_tagged_deadline(
+    pub fn submit_tagged(
         &self,
         id: u64,
         input: Tensor,
         deadline: Option<Duration>,
         done: &Sender<TaggedResponse>,
     ) {
-        if let Err(err) = self.validate(&input) {
+        if let Err(err) = self.enqueue(id, input, deadline, done.clone()) {
             let _ = done.send(TaggedResponse {
                 id,
                 result: Err(err),
             });
-            return;
         }
-        if deadline.is_some_and(|budget| budget.is_zero()) {
-            self.stats.record_shed(1);
-            let _ = done.send(TaggedResponse {
-                id,
-                result: Err(ServeError::DeadlineExceeded),
-            });
-            return;
-        }
-        // On queue failure (engine gone) the request — and its Responder —
-        // is dropped, which routes an explicit error to `done`.
-        let _ = self.queue.send(Request {
-            input,
-            enqueued: Instant::now(),
-            deadline: deadline.map(|budget| Instant::now() + budget),
-            respond: Responder::tagged(id, done.clone()),
-        });
     }
 
-    /// Submits and waits: the blocking request/response round trip a client
-    /// thread performs.
+    /// Submits without a deadline and waits: the blocking request/response
+    /// round trip a client thread performs.
     pub fn infer(&self, input: Tensor) -> Result<Tensor, ServeError> {
-        self.submit(input)?.wait()
+        self.submit(input, None)?.wait()
     }
 
     /// Hot-swaps the served model and returns the new swap generation.
@@ -444,16 +357,9 @@ impl ServeHandle {
 /// The running engine: owns the worker pool and the serving counters.
 pub struct ServeEngine {
     queue: Sender<Request>,
-    /// A second receiver on the request queue used only as a depth gauge
-    /// (never polled for messages), for the adaptive controller and
-    /// [`ServeEngine::queue_depth`].
-    depth_probe: Receiver<Request>,
     request_dims: Option<Arc<[usize]>>,
     model_slot: ModelSlot,
     workers: Vec<JoinHandle<()>>,
-    controller: Option<JoinHandle<()>>,
-    controller_stop: Arc<AtomicBool>,
-    max_wait_us: Arc<AtomicU64>,
     stats: Arc<ServeStats>,
     started: Instant,
 }
@@ -467,8 +373,6 @@ impl ServeEngine {
         assert!(config.workers >= 1, "the worker pool needs a thread");
         let (tx, rx) = channel::bounded(config.queue_capacity);
         let stats = Arc::new(ServeStats::new());
-        let max_wait_us = Arc::new(AtomicU64::new(config.max_wait.as_micros() as u64));
-        stats.set_wait_gauge(config.max_wait);
         let model_slot: ModelSlot = Arc::new(RwLock::new(model));
         let workers = (0..config.workers)
             .map(|i| {
@@ -476,44 +380,23 @@ impl ServeEngine {
                 let slot = Arc::clone(&model_slot);
                 let stats = Arc::clone(&stats);
                 let max_batch = config.max_batch;
-                let max_wait_us = Arc::clone(&max_wait_us);
                 // lint: allow(thread) — the engine's long-lived batch
                 // workers block on a channel; the compute pool is for
                 // finite kernel launches, not request-draining loops.
                 std::thread::Builder::new()
                     .name(format!("dsx-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&slot, &rx, &stats, max_batch, &max_wait_us))
+                    .spawn(move || worker_loop(&slot, &rx, &stats, max_batch))
                     // lint: allow(panic) — at process start, before any
                     // request exists; an engine that cannot get its workers
                     // has nothing useful to degrade to.
                     .expect("spawning a serve worker failed")
             })
             .collect();
-        let controller_stop = Arc::new(AtomicBool::new(false));
-        let controller = config.adaptive.clone().map(|adaptive| {
-            let controller = AdaptiveWait::new(adaptive, config.max_batch);
-            let stats = Arc::clone(&stats);
-            let depth = rx.clone();
-            let wait = Arc::clone(&max_wait_us);
-            let stop = Arc::clone(&controller_stop);
-            // lint: allow(thread) — one long-lived controller thread that
-            // sleeps between epochs; it never does kernel work.
-            std::thread::Builder::new()
-                .name("dsx-serve-adaptive".to_string())
-                .spawn(move || controller_loop(&controller, &stats, &depth, &wait, &stop))
-                // lint: allow(panic) — at process start, same argument as
-                // the worker spawns above.
-                .expect("spawning the adaptive controller failed")
-        });
         ServeEngine {
             queue: tx,
-            depth_probe: rx,
             request_dims: config.request_dims.map(Arc::from),
             model_slot,
             workers,
-            controller,
-            controller_stop,
-            max_wait_us,
             stats,
             started: Instant::now(),
         }
@@ -552,122 +435,56 @@ impl ServeEngine {
         Arc::clone(&self.stats)
     }
 
-    /// Requests currently waiting in the shared queue.
-    pub fn queue_depth(&self) -> usize {
-        self.depth_probe.len()
-    }
-
-    /// The batcher's current `max_wait` (the adaptive controller moves it).
-    pub fn max_wait(&self) -> Duration {
-        // ORDER: a standalone tuning knob — a torn-in-time read only means
-        // one batch forms under the previous deadline.
-        Duration::from_micros(self.max_wait_us.load(Ordering::Relaxed))
-    }
-
-    /// Retunes the batch-formation deadline on the running engine; workers
-    /// pick the new value up at their next batch.
-    pub fn set_max_wait(&self, max_wait: Duration) {
-        // ORDER: same knob — workers re-read it per batch; no other state
-        // rides on this store.
-        self.max_wait_us
-            .store(max_wait.as_micros() as u64, Ordering::Relaxed); // ORDER: see above
-        self.stats.set_wait_gauge(max_wait);
-    }
-
     /// Stops accepting requests and gracefully drains: every request still
     /// in the queue — and every batch already in flight — is served before
     /// the workers exit, then the final serving report is returned.
     /// Outstanding [`ServeHandle`] clones must be dropped first or this
     /// blocks until they are (their owners may still be submitting).
     pub fn shutdown(self) -> ServeSnapshot {
-        let ServeEngine {
-            queue,
-            depth_probe,
-            request_dims: _,
-            model_slot: _,
-            workers,
-            controller,
-            controller_stop,
-            max_wait_us: _,
-            stats,
-            started,
-        } = self;
-        // ORDER: a stop flag with no payload — the controller re-reads it
-        // every tick and exits; nothing it protects is read afterwards.
-        controller_stop.store(true, Ordering::Relaxed);
-        if let Some(controller) = controller {
-            // A panicked thread must not take shutdown down with it: the
-            // snapshot below is still owed to the caller. The join error
-            // is logged, not re-raised.
-            if controller.join().is_err() {
-                eprintln!("dsx-serve: the adaptive controller panicked; continuing shutdown");
-            }
-        }
         // Closing the engine's sender (once every handle is gone too) makes
         // the workers' `recv` fail only after the queue is empty — the
         // drain guarantee lives in the channel's disconnect semantics.
-        drop(queue);
-        for worker in workers {
-            // Same containment as the controller: a dead worker already
-            // dropped its batch's Responders (each client got an error),
-            // so the remaining workers and the final report proceed.
+        drop(self.queue);
+        for worker in self.workers {
+            // A panicked thread must not take shutdown down with it: the
+            // snapshot below is still owed to the caller, and a dead worker
+            // already dropped its batch's Responders (each client got an
+            // error). The join error is logged, not re-raised.
             if worker.join().is_err() {
                 eprintln!("dsx-serve: a worker panicked; continuing shutdown");
             }
         }
-        drop(depth_probe);
-        stats.snapshot(started.elapsed())
+        self.stats.snapshot(self.started.elapsed())
     }
 }
 
-/// One worker: block for a first request, top the batch up until `max_batch`
-/// or the `max_wait` deadline (re-read per batch so retuning applies live),
-/// run the fused pass, scatter the outputs.
+/// One worker: block for a live request, take whatever else is already
+/// queued up to `max_batch` without waiting, run the fused pass, scatter
+/// the outputs.
 fn worker_loop(
     model_slot: &RwLock<Arc<dyn Layer>>,
     rx: &Receiver<Request>,
     stats: &ServeStats,
     max_batch: usize,
-    max_wait_us: &AtomicU64,
 ) {
     loop {
         // Deadline shedding happens exactly here — at dequeue, before the
         // request joins a batch. Once a request is in `batch` it is always
         // served: a deadline can cut queue time short, never waste a
         // forward pass already committed to.
-        let first = loop {
-            match rx.recv() {
-                Ok(request) => match shed_if_expired(request, stats) {
-                    Some(live) => break live,
-                    None => continue,
-                },
-                Err(_) => return, // every sender gone and the queue drained
-            }
+        let Ok(request) = rx.recv() else {
+            return; // every sender gone and the queue drained
         };
-        // The assembly span opens when the first request arrives and
-        // closes once the batch is formed, so a trace shows how long each
-        // batch spent topping up against `max_wait`.
-        let assemble_span = dsx_obs::span("serve", "serve.assemble");
+        let Some(first) = shed_if_expired(request, stats) else {
+            continue;
+        };
         let mut batch = vec![first];
-        // ORDER: tuning knob read once per batch; a stale deadline is
-        // harmless (the controller's next value applies next batch).
-        let max_wait = Duration::from_micros(max_wait_us.load(Ordering::Relaxed));
-        let deadline = Instant::now() + max_wait;
         while batch.len() < max_batch {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(request) => {
-                    if let Some(live) = shed_if_expired(request, stats) {
-                        batch.push(live);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
+            let Ok(request) = rx.try_recv() else {
+                break; // nothing else is waiting: run what we have, now
+            };
+            batch.extend(shed_if_expired(request, stats));
         }
-        drop(assemble_span);
         // Pin the current model for this whole batch: clone the inner Arc
         // and release the read lock before running. A concurrent
         // `swap_model` replaces the slot without touching this batch, and
@@ -682,9 +499,8 @@ fn worker_loop(
         );
         // A panicking batch (a model assertion on adversarial input) must
         // not take the worker down with it: contain the unwind, drop the
-        // batch — each dropped Responder signals its client (a oneshot's
-        // receiver fails; a tagged route gets an explicit error) — and keep
-        // serving.
+        // batch — each dropped Responder answers its caller `Shutdown` —
+        // and keep serving.
         let batch_len = batch.len();
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_batch(&*model, batch, stats)
@@ -699,65 +515,18 @@ fn worker_loop(
 
 /// Sheds `request` if its deadline has passed: the caller gets a typed
 /// [`ServeError::DeadlineExceeded`] and the shed counter moves. Returns the
-/// request untouched when it is still live.
+/// request untouched when it is still live (or carries no deadline, which
+/// costs no clock read).
 fn shed_if_expired(request: Request, stats: &ServeStats) -> Option<Request> {
-    if request.expired(Instant::now()) {
+    if request
+        .deadline
+        .is_some_and(|deadline| Instant::now() >= deadline)
+    {
         stats.record_shed(1);
-        request.respond.fail(ServeError::DeadlineExceeded);
+        request.respond.answer(Err(ServeError::DeadlineExceeded));
         None
     } else {
         Some(request)
-    }
-}
-
-/// The adaptive controller: once per epoch, fold the counters' movement and
-/// the instantaneous queue depth into an [`EpochObservation`] and let
-/// [`AdaptiveWait::step`] retune the shared wait.
-fn controller_loop(
-    controller: &AdaptiveWait,
-    stats: &ServeStats,
-    depth: &Receiver<Request>,
-    max_wait_us: &AtomicU64,
-    stop: &AtomicBool,
-) {
-    let epoch = controller.config().epoch;
-    let tick = epoch
-        .min(Duration::from_millis(5))
-        .max(Duration::from_micros(100));
-    let mut last_batches = stats.batches();
-    let mut last_requests = stats.requests();
-    // ORDER: plain stop flag — the only consequence of a late read is one
-    // extra tick of sleep; nothing is published through it.
-    while !stop.load(Ordering::Relaxed) {
-        // Sleep the epoch in small ticks so shutdown is prompt even with
-        // long epochs.
-        let epoch_end = Instant::now() + epoch;
-        while Instant::now() < epoch_end {
-            // ORDER: same stop flag as the loop condition above
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(tick);
-        }
-        let batches = stats.batches();
-        let requests = stats.requests();
-        let obs = EpochObservation {
-            batches: batches - last_batches,
-            requests: requests - last_requests,
-            queue_depth: depth.len(),
-        };
-        last_batches = batches;
-        last_requests = requests;
-        // ORDER: the controller is this knob's only writer, so its own
-        // read-modify-write sequence is race-free; workers tolerate any
-        // staleness (see `max_wait`).
-        let current = Duration::from_micros(max_wait_us.load(Ordering::Relaxed));
-        let (next, adjustment) = controller.step(obs, current);
-        if adjustment != WaitAdjustment::Held {
-            max_wait_us.store(next.as_micros() as u64, Ordering::Relaxed); // ORDER: see load above
-            stats.set_wait_gauge(next);
-            stats.record_adaptive(adjustment == WaitAdjustment::Raised);
-        }
     }
 }
 
@@ -773,7 +542,7 @@ fn run_batch(model: &dyn Layer, batch: Vec<Request>, stats: &ServeStats) {
     stats.record_batch(batch.len());
     for (request, part) in batch.into_iter().zip(parts) {
         stats.record_latency(request.enqueued.elapsed());
-        request.respond.fulfill(part);
+        request.respond.answer(Ok(part));
     }
 }
 
@@ -797,13 +566,8 @@ mod tests {
     }
 
     #[test]
-    fn single_request_round_trips_within_the_wait_deadline() {
-        let engine = ServeEngine::start(
-            tiny_model(),
-            ServeConfig::default()
-                .with_workers(1)
-                .with_max_wait(Duration::from_millis(1)),
-        );
+    fn a_lone_request_is_a_batch_of_exactly_one() {
+        let engine = ServeEngine::start(tiny_model(), ServeConfig::default().with_workers(1));
         let handle = engine.handle();
         let out = handle.infer(request(1)).unwrap();
         assert_eq!(out.shape(), &[1, 3]);
@@ -811,34 +575,121 @@ mod tests {
         let snap = engine.shutdown();
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.batches, 1);
+        assert_eq!(snap.max_batch_occupancy, 1);
+    }
+
+    /// An identity layer whose every forward pass reports the batch size it
+    /// was handed and then blocks until the test releases it. Holding the
+    /// single worker inside `infer` lets a test decide exactly what is
+    /// queued behind it, so batch formation is asserted without sleeps.
+    struct GatedIdentity {
+        entered: Sender<usize>,
+        release: Receiver<()>,
+    }
+
+    impl Layer for GatedIdentity {
+        fn name(&self) -> String {
+            "gated-identity".to_string()
+        }
+
+        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+            self.infer(input)
+        }
+
+        fn infer(&self, input: &Tensor) -> Tensor {
+            // A test that already failed has dropped its ends; let the
+            // worker run on instead of panicking inside the model.
+            let _ = self.entered.send(input.dim(0));
+            let _ = self.release.recv();
+            input.clone()
+        }
+
+        fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+            grad_output.clone()
+        }
+
+        fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+            input_shape.to_vec()
+        }
+    }
+
+    /// A one-worker engine over a [`GatedIdentity`], the channel on which
+    /// each forward pass announces its batch size, and the channel that
+    /// lets one pass finish per token.
+    fn gated_engine(max_batch: usize) -> (ServeEngine, Receiver<usize>, Sender<()>) {
+        let (entered_tx, entered) = channel::unbounded();
+        let (release, release_rx) = channel::unbounded();
+        let engine = ServeEngine::start(
+            Arc::new(GatedIdentity {
+                entered: entered_tx,
+                release: release_rx,
+            }),
+            ServeConfig::default()
+                .with_workers(1)
+                .with_max_batch(max_batch),
+        );
+        (engine, entered, release)
     }
 
     #[test]
-    fn burst_of_requests_is_fused_into_batches() {
-        let engine = ServeEngine::start(
-            tiny_model(),
-            ServeConfig::default()
-                .with_workers(1)
-                .with_max_batch(4)
-                .with_max_wait(Duration::from_millis(50)),
-        );
+    fn requests_queued_behind_a_busy_worker_leave_as_a_full_batch_then_the_remainder() {
+        let (engine, entered, release) = gated_engine(4);
         let handle = engine.handle();
-        let pending: Vec<_> = (0..8)
-            .map(|i| handle.submit(request(i as u64)).unwrap())
+        let pin = handle.submit(request(0), None).unwrap();
+        assert_eq!(entered.recv().unwrap(), 1, "nothing else was queued");
+        // The worker is inside `infer`: these six can only queue.
+        let queued: Vec<_> = (1..=6)
+            .map(|i| handle.submit(request(i), None).unwrap())
             .collect();
-        for p in pending {
-            assert_eq!(p.wait().unwrap().shape(), &[1, 3]);
+        release.send(()).unwrap();
+        assert_eq!(
+            entered.recv().unwrap(),
+            4,
+            "everything queued, up to max_batch"
+        );
+        release.send(()).unwrap();
+        assert_eq!(
+            entered.recv().unwrap(),
+            2,
+            "the remainder, without waiting for more"
+        );
+        release.send(()).unwrap();
+        for p in std::iter::once(pin).chain(queued) {
+            assert_eq!(p.wait().unwrap().shape(), &[1, 2, 4, 4]);
         }
         drop(handle);
         let snap = engine.shutdown();
-        assert_eq!(snap.requests, 8);
-        assert!(
-            snap.batches < 8,
-            "a burst must fuse into fewer forward passes, got {} batches",
-            snap.batches
-        );
-        assert!(snap.max_batch_occupancy > 1);
-        assert!(snap.mean_batch_occupancy > 1.0);
+        assert_eq!(snap.requests, 7);
+        assert_eq!(snap.batches, 3);
+        assert_eq!(snap.max_batch_occupancy, 4);
+    }
+
+    #[test]
+    fn an_expired_request_met_during_the_drain_is_shed_and_takes_no_batch_slot() {
+        let (engine, entered, release) = gated_engine(3);
+        let handle = engine.handle();
+        let pin = handle.submit(request(0), None).unwrap();
+        assert_eq!(entered.recv().unwrap(), 1);
+        let budget = Duration::from_millis(5);
+        let first = handle.submit(request(1), None).unwrap();
+        let doomed = handle.submit(request(2), Some(budget)).unwrap();
+        let rest = [3, 4].map(|i| handle.submit(request(i), None).unwrap());
+        // The worker stays held until the budget has certainly run out.
+        std::thread::sleep(budget * 2);
+        release.send(()).unwrap();
+        // `doomed` sits second in the queue, inside the greedy drain; the
+        // batch still fills to max_batch with the three live requests.
+        assert_eq!(entered.recv().unwrap(), 3);
+        release.send(()).unwrap();
+        assert_eq!(doomed.wait(), Err(ServeError::DeadlineExceeded));
+        for p in [pin, first].into_iter().chain(rest) {
+            assert!(p.wait().is_ok());
+        }
+        drop(handle);
+        let snap = engine.shutdown();
+        assert_eq!(snap.shed_requests, 1);
+        assert_eq!(snap.requests, 4);
+        assert_eq!(snap.batches, 2);
     }
 
     #[test]
@@ -846,16 +697,13 @@ mod tests {
         let model = tiny_model();
         let engine = ServeEngine::start(
             Arc::clone(&model),
-            ServeConfig::default()
-                .with_workers(1)
-                .with_max_batch(8)
-                .with_max_wait(Duration::from_millis(20)),
+            ServeConfig::default().with_workers(1).with_max_batch(8),
         );
         let handle = engine.handle();
         let inputs: Vec<Tensor> = (0..6).map(|i| request(100 + i as u64)).collect();
         let pending: Vec<_> = inputs
             .iter()
-            .map(|input| handle.submit(input.clone()).unwrap())
+            .map(|input| handle.submit(input.clone(), None).unwrap())
             .collect();
         for (input, p) in inputs.iter().zip(pending) {
             let served = p.wait().unwrap();
@@ -870,10 +718,12 @@ mod tests {
     fn multi_sample_and_zero_sample_requests_ride_along() {
         let engine = ServeEngine::start(tiny_model(), ServeConfig::default().with_workers(1));
         let handle = engine.handle();
-        let wide = handle.submit(Tensor::randn(&[3, 2, 4, 4], 5)).unwrap();
+        let wide = handle
+            .submit(Tensor::randn(&[3, 2, 4, 4], 5), None)
+            .unwrap();
         // A zero-size batch must flow through stacking, the kernels and the
         // scatter without tripping any chunk math.
-        let empty = handle.submit(Tensor::zeros(&[0, 2, 4, 4])).unwrap();
+        let empty = handle.submit(Tensor::zeros(&[0, 2, 4, 4]), None).unwrap();
         assert_eq!(wide.wait().unwrap().shape(), &[3, 3]);
         assert_eq!(empty.wait().unwrap().shape(), &[0, 3]);
         drop(handle);
@@ -890,11 +740,11 @@ mod tests {
         );
         let handle = engine.handle();
         assert!(matches!(
-            handle.submit(Tensor::zeros(&[1, 2, 5, 5])),
+            handle.submit(Tensor::zeros(&[1, 2, 5, 5]), None),
             Err(ServeError::InvalidRequest(_))
         ));
         assert!(matches!(
-            handle.submit(Tensor::zeros(&[4])),
+            handle.submit(Tensor::zeros(&[4]), None),
             Err(ServeError::InvalidRequest(_))
         ));
         // Conforming requests (any batch size) still flow.
@@ -913,7 +763,7 @@ mod tests {
         // served, and shutdown must not observe a dead worker.
         let engine = ServeEngine::start(tiny_model(), ServeConfig::default().with_workers(1));
         let handle = engine.handle();
-        let bad = handle.submit(Tensor::zeros(&[1, 3, 4, 4])).unwrap();
+        let bad = handle.submit(Tensor::zeros(&[1, 3, 4, 4]), None).unwrap();
         assert_eq!(bad.wait(), Err(ServeError::Shutdown));
         // The worker survived the poison batch and keeps serving.
         assert_eq!(handle.infer(request(2)).unwrap().shape(), &[1, 3]);
@@ -947,7 +797,7 @@ mod tests {
         let probe = handle.clone();
         drop(handle);
         let rx_dead = {
-            let engine_queue_gone = probe.submit(request(1)).unwrap();
+            let engine_queue_gone = probe.submit(request(1), None).unwrap();
             engine_queue_gone.wait().unwrap()
         };
         assert_eq!(rx_dead.shape(), &[1, 3]);
@@ -965,12 +815,11 @@ mod tests {
             ServeConfig::default()
                 .with_workers(1)
                 .with_max_batch(2)
-                .with_queue_capacity(64)
-                .with_max_wait(Duration::from_millis(1)),
+                .with_queue_capacity(64),
         );
         let handle = engine.handle();
         let pending: Vec<_> = (0..24)
-            .map(|i| handle.submit(request(i as u64)).unwrap())
+            .map(|i| handle.submit(request(i as u64), None).unwrap())
             .collect();
         drop(handle);
         let snap = engine.shutdown();
@@ -992,9 +841,9 @@ mod tests {
         let handle = engine.handle();
         let (done_tx, done_rx) = channel::unbounded();
         // Two good requests and one shape reject, interleaved ids.
-        handle.submit_tagged(7, request(1), &done_tx);
-        handle.submit_tagged(9, Tensor::zeros(&[1, 9, 9, 9]), &done_tx);
-        handle.submit_tagged(8, request(2), &done_tx);
+        handle.submit_tagged(7, request(1), None, &done_tx);
+        handle.submit_tagged(9, Tensor::zeros(&[1, 9, 9, 9]), None, &done_tx);
+        handle.submit_tagged(8, request(2), None, &done_tx);
         let mut ok = Vec::new();
         let mut rejected = Vec::new();
         for _ in 0..3 {
@@ -1021,36 +870,17 @@ mod tests {
         let handle = engine.handle();
         let (done_tx, done_rx) = channel::unbounded();
         // Sails through validation (no declared dims) but panics in Linear.
-        handle.submit_tagged(42, Tensor::zeros(&[1, 3, 4, 4]), &done_tx);
+        handle.submit_tagged(42, Tensor::zeros(&[1, 3, 4, 4]), None, &done_tx);
         let response = done_rx.recv().unwrap();
         assert_eq!(response.id, 42);
         assert_eq!(response.result.unwrap_err(), ServeError::Shutdown);
         // The worker is still alive for tagged traffic afterwards.
-        handle.submit_tagged(43, request(5), &done_tx);
+        handle.submit_tagged(43, request(5), None, &done_tx);
         let response = done_rx.recv().unwrap();
         assert_eq!(response.id, 43);
         assert!(response.result.is_ok());
         drop(handle);
         engine.shutdown();
-    }
-
-    #[test]
-    fn set_max_wait_retunes_the_running_engine() {
-        let engine = ServeEngine::start(
-            tiny_model(),
-            ServeConfig::default()
-                .with_workers(1)
-                .with_max_wait(Duration::from_millis(2)),
-        );
-        assert_eq!(engine.max_wait(), Duration::from_millis(2));
-        engine.set_max_wait(Duration::from_micros(137));
-        assert_eq!(engine.max_wait(), Duration::from_micros(137));
-        let handle = engine.handle();
-        // Requests still round-trip under the retuned deadline.
-        assert_eq!(handle.infer(request(1)).unwrap().shape(), &[1, 3]);
-        drop(handle);
-        let snap = engine.shutdown();
-        assert_eq!(snap.max_wait_us, 137);
     }
 
     #[test]
@@ -1083,7 +913,7 @@ mod tests {
     fn dropped_requests_counter_tracks_poison_batches() {
         let engine = ServeEngine::start(tiny_model(), ServeConfig::default().with_workers(1));
         let handle = engine.handle();
-        let bad = handle.submit(Tensor::zeros(&[1, 3, 4, 4])).unwrap();
+        let bad = handle.submit(Tensor::zeros(&[1, 3, 4, 4]), None).unwrap();
         assert_eq!(bad.wait(), Err(ServeError::Shutdown));
         assert_eq!(handle.infer(request(2)).unwrap().shape(), &[1, 3]);
         drop(handle);
@@ -1093,58 +923,24 @@ mod tests {
         assert!(format!("{snap}").contains("DROPPED 1 requests"));
     }
 
-    /// An identity layer that sleeps per forward pass — lets tests pin a
-    /// worker down long enough for queued deadlines to expire.
-    struct SlowIdentity {
-        delay: Duration,
-    }
-
-    impl Layer for SlowIdentity {
-        fn name(&self) -> String {
-            "slow-identity".to_string()
-        }
-
-        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-            self.infer(input)
-        }
-
-        fn infer(&self, input: &Tensor) -> Tensor {
-            std::thread::sleep(self.delay);
-            input.clone()
-        }
-
-        fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-            grad_output.clone()
-        }
-
-        fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-            input_shape.to_vec()
-        }
-    }
-
     #[test]
     fn queued_requests_past_their_deadline_are_shed_with_a_typed_error() {
-        // One worker, batch size 1, a 60 ms model: the first request pins
-        // the worker, so the second (5 ms budget) is long expired when the
-        // worker returns to the queue — it must be shed at dequeue, never
-        // served, and told so with `DeadlineExceeded`.
-        let engine = ServeEngine::start(
-            Arc::new(SlowIdentity {
-                delay: Duration::from_millis(60),
-            }),
-            ServeConfig::default()
-                .with_workers(1)
-                .with_max_batch(1)
-                .with_max_wait(Duration::ZERO),
-        );
+        // One worker, batch size 1: the first request pins the worker, and
+        // the second's 5 ms budget has run out by the time the worker is
+        // let back to the queue — it must be shed at dequeue, never served,
+        // and told so with `DeadlineExceeded`.
+        let (engine, entered, release) = gated_engine(1);
         let handle = engine.handle();
-        let pinned = handle.submit(request(1)).unwrap();
-        let doomed = handle
-            .submit_deadline(request(2), Some(Duration::from_millis(5)))
-            .unwrap();
+        let budget = Duration::from_millis(5);
+        let pinned = handle.submit(request(1), None).unwrap();
+        assert_eq!(entered.recv().unwrap(), 1);
+        let doomed = handle.submit(request(2), Some(budget)).unwrap();
+        std::thread::sleep(budget * 2);
+        release.send(()).unwrap();
         assert_eq!(pinned.wait().unwrap().shape(), &[1, 2, 4, 4]);
         assert_eq!(doomed.wait(), Err(ServeError::DeadlineExceeded));
         // The worker is alive and serving after the shed.
+        release.send(()).unwrap();
         assert!(handle.infer(request(3)).is_ok());
         drop(handle);
         let snap = engine.shutdown();
@@ -1160,7 +956,7 @@ mod tests {
         let handle = engine.handle();
         for i in 0..8 {
             let out = handle
-                .submit_deadline(request(i), Some(Duration::from_secs(30)))
+                .submit(request(i), Some(Duration::from_secs(30)))
                 .unwrap()
                 .wait()
                 .unwrap();
@@ -1177,13 +973,11 @@ mod tests {
         let engine = ServeEngine::start(tiny_model(), ServeConfig::default().with_workers(1));
         let handle = engine.handle();
         assert_eq!(
-            handle
-                .submit_deadline(request(1), Some(Duration::ZERO))
-                .err(),
+            handle.submit(request(1), Some(Duration::ZERO)).err(),
             Some(ServeError::DeadlineExceeded)
         );
         let (done_tx, done_rx) = channel::unbounded();
-        handle.submit_tagged_deadline(11, request(2), Some(Duration::ZERO), &done_tx);
+        handle.submit_tagged(11, request(2), Some(Duration::ZERO), &done_tx);
         let response = done_rx.recv().unwrap();
         assert_eq!(response.id, 11);
         assert_eq!(response.result.unwrap_err(), ServeError::DeadlineExceeded);
@@ -1195,19 +989,15 @@ mod tests {
 
     #[test]
     fn tagged_deadline_sheds_route_through_the_done_channel() {
-        let engine = ServeEngine::start(
-            Arc::new(SlowIdentity {
-                delay: Duration::from_millis(60),
-            }),
-            ServeConfig::default()
-                .with_workers(1)
-                .with_max_batch(1)
-                .with_max_wait(Duration::ZERO),
-        );
+        let (engine, entered, release) = gated_engine(1);
         let handle = engine.handle();
         let (done_tx, done_rx) = channel::unbounded();
-        handle.submit_tagged(1, request(1), &done_tx);
-        handle.submit_tagged_deadline(2, request(2), Some(Duration::from_millis(5)), &done_tx);
+        let budget = Duration::from_millis(5);
+        handle.submit_tagged(1, request(1), None, &done_tx);
+        assert_eq!(entered.recv().unwrap(), 1);
+        handle.submit_tagged(2, request(2), Some(budget), &done_tx);
+        std::thread::sleep(budget * 2);
+        release.send(()).unwrap();
         let mut served = Vec::new();
         let mut shed = Vec::new();
         for _ in 0..2 {
@@ -1221,15 +1011,6 @@ mod tests {
         assert_eq!(served, vec![1]);
         assert_eq!(shed, vec![2]);
         drop(handle);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn queue_depth_probe_reports_waiting_requests() {
-        let engine = ServeEngine::start(tiny_model(), ServeConfig::default().with_workers(1));
-        assert_eq!(engine.queue_depth(), 0);
-        // (A non-zero depth is racy to observe with a live worker; the
-        // adaptive integration test exercises that under saturation.)
         engine.shutdown();
     }
 }

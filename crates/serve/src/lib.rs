@@ -9,21 +9,23 @@
 //! with zero locks:
 //!
 //! * [`engine`] — the batching engine: a bounded MPMC request queue (with
-//!   backpressure), a worker pool that drains up to `max_batch` requests or
-//!   a `max_wait` deadline, stacks them into one batched tensor, runs a
-//!   single `infer` and scatters the per-request outputs back — through a
-//!   per-request one-shot channel ([`ServeHandle::submit`]) or tagged onto
-//!   a caller-owned channel by request id ([`ServeHandle::submit_tagged`],
-//!   the route the `dsx-net` TCP front-end streams responses from);
-//! * [`adaptive`] — the [`AdaptiveWait`] controller that retunes the
-//!   batcher's `max_wait` each epoch from live occupancy and queue-depth
-//!   stats (raise when batches run under-occupied at low queue depth,
-//!   shrink toward zero under saturation);
+//!   backpressure) and a worker pool under one work-conserving policy — a
+//!   worker blocks for one request, takes whatever else is *already
+//!   queued* up to `max_batch`, stacks it into one batched tensor, runs a
+//!   single `infer` and scatters the per-request outputs back. Nothing
+//!   waits on a timer: requests that arrive during an `infer` are the next
+//!   batch, so batches form exactly when load exceeds unbatched capacity
+//!   and a lone request is served at once. Every outcome travels as a
+//!   [`TaggedResponse`] on the channel the request carries — a private
+//!   one-slot channel behind [`ServeHandle::submit`]'s
+//!   [`PendingResponse`], or a caller-owned channel keyed by request id
+//!   ([`ServeHandle::submit_tagged`], the route the `dsx-net` TCP
+//!   front-end streams responses from);
 //! * [`stats`] — per-request latency (mean, max and p50/p95/p99
 //!   percentiles), batch occupancy and throughput counters;
 //! * [`loadgen`] — the serving workload model, a multi-threaded load
 //!   generator and the serial-unbatched baseline (what the `dsx-serve`
-//!   binary and the `serve_throughput` bench drive).
+//!   binary drives).
 //!
 //! ## Example
 //!
@@ -48,12 +50,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod engine;
 pub mod loadgen;
 pub mod stats;
 
-pub use adaptive::{AdaptiveWait, AdaptiveWaitConfig, EpochObservation, WaitAdjustment};
 pub use engine::{
     PendingResponse, ServeConfig, ServeEngine, ServeError, ServeHandle, TaggedResponse,
 };

@@ -236,10 +236,7 @@ mod tests {
             let cfg = LoadConfig {
                 requests: 12,
                 concurrency: 3,
-                engine: ServeConfig::default()
-                    .with_workers(2)
-                    .with_max_batch(4)
-                    .with_max_wait(Duration::from_millis(5)),
+                engine: ServeConfig::default().with_workers(2).with_max_batch(4),
             };
             let snap = run_load(Arc::clone(&model), &cfg);
             assert_eq!(snap.requests, 12, "{backend}");

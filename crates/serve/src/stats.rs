@@ -1,7 +1,6 @@
 //! Serving-side instrumentation: request latency (mean, maximum and
 //! log-bucketed percentiles), batch occupancy and throughput counters
-//! shared between the engine's worker threads, plus the adaptive-wait
-//! controller's gauge and adjustment counters.
+//! shared between the engine's worker threads.
 //!
 //! The latency distribution lives in [`dsx_obs::Histogram`] (the
 //! 256-bucket log histogram with sub-bucket interpolated percentiles grew
@@ -33,11 +32,6 @@ pub struct ServeStats {
     /// Queue-to-response latency distribution in µs (count, sum, max and
     /// log-bucketed percentiles all live in the histogram).
     latency: Histogram,
-    /// The batcher's *current* `max_wait` in µs — a gauge the engine (and
-    /// the adaptive controller) keeps up to date, not a counter.
-    wait_gauge_us: AtomicU64,
-    adaptive_raises: AtomicUsize,
-    adaptive_shrinks: AtomicUsize,
     /// How many times a new model was hot-swapped in (generation counter:
     /// 0 means the engine still runs the model it started with).
     swap_generation: AtomicU64,
@@ -68,23 +62,6 @@ impl ServeStats {
     /// Records one request's queue-to-response latency.
     pub fn record_latency(&self, latency: Duration) {
         self.latency.record(latency.as_micros() as u64);
-    }
-
-    /// Updates the `max_wait` gauge (the engine calls this at start and on
-    /// every adaptive retune).
-    pub fn set_wait_gauge(&self, wait: Duration) {
-        self.wait_gauge_us
-            .store(wait.as_micros() as u64, Ordering::Relaxed); // ORDER: racy-tolerant counter (see struct doc)
-    }
-
-    /// Records one adaptive-wait adjustment (`raised = true` when the wait
-    /// grew, `false` when it shrank).
-    pub fn record_adaptive(&self, raised: bool) {
-        if raised {
-            self.adaptive_raises.fetch_add(1, Ordering::Relaxed); // ORDER: racy-tolerant counter (see struct doc)
-        } else {
-            self.adaptive_shrinks.fetch_add(1, Ordering::Relaxed); // ORDER: racy-tolerant counter (see struct doc)
-        }
     }
 
     /// Records one completed model hot swap, returning the new generation.
@@ -151,18 +128,6 @@ impl ServeStats {
         snap.push("serve.latency.p95_us", self.latency.percentile(0.95));
         snap.push("serve.latency.p99_us", self.latency.percentile(0.99));
         snap.push("serve.latency.max_us", self.latency.max());
-        snap.push(
-            "serve.max_wait_us",
-            self.wait_gauge_us.load(Ordering::Relaxed), // ORDER: racy-tolerant counter (see struct doc)
-        );
-        snap.push(
-            "serve.adaptive_raises",
-            self.adaptive_raises.load(Ordering::Relaxed) as u64, // ORDER: racy-tolerant counter (see struct doc)
-        );
-        snap.push(
-            "serve.adaptive_shrinks",
-            self.adaptive_shrinks.load(Ordering::Relaxed) as u64, // ORDER: racy-tolerant counter (see struct doc)
-        );
         snap.push("serve.swap_generation", self.swap_generation());
         snap.push("serve.dropped_requests", self.dropped_requests() as u64);
         snap.push("serve.shed_requests", self.shed_requests() as u64);
@@ -193,9 +158,6 @@ impl ServeStats {
             p95_latency_us: self.latency.percentile(0.95),
             p99_latency_us: self.latency.percentile(0.99),
             max_latency_us: self.latency.max(),
-            max_wait_us: self.wait_gauge_us.load(Ordering::Relaxed), // ORDER: racy-tolerant counter (see struct doc)
-            adaptive_raises: self.adaptive_raises.load(Ordering::Relaxed), // ORDER: racy-tolerant counter (see struct doc)
-            adaptive_shrinks: self.adaptive_shrinks.load(Ordering::Relaxed), // ORDER: racy-tolerant counter (see struct doc)
             swap_generation: self.swap_generation.load(Ordering::Relaxed), // ORDER: racy-tolerant counter (see struct doc)
             dropped_requests: self.dropped_requests.load(Ordering::Relaxed), // ORDER: racy-tolerant counter (see struct doc)
             shed_requests: self.shed_requests.load(Ordering::Relaxed), // ORDER: racy-tolerant counter (see struct doc)
@@ -231,13 +193,6 @@ pub struct ServeSnapshot {
     pub p99_latency_us: u64,
     /// Worst queue-to-response latency in microseconds.
     pub max_latency_us: u64,
-    /// The batcher's `max_wait` at snapshot time, in microseconds (moves
-    /// under the adaptive controller).
-    pub max_wait_us: u64,
-    /// How many times the adaptive controller raised `max_wait`.
-    pub adaptive_raises: usize,
-    /// How many times the adaptive controller shrank `max_wait`.
-    pub adaptive_shrinks: usize,
     /// Hot-swap generation at snapshot time (0 = the starting model).
     pub swap_generation: u64,
     /// Requests dropped unserved (their batch panicked). The zero-drop
@@ -258,7 +213,7 @@ impl std::fmt::Display for ServeSnapshot {
             f,
             "{} requests in {:.2} s ({:.1} req/s) over {} batches \
              (occupancy mean {:.2}, max {}); latency mean {:.0} us, \
-             p50 {} us, p95 {} us, p99 {} us, max {} us; max_wait {} us",
+             p50 {} us, p95 {} us, p99 {} us, max {} us",
             self.requests,
             self.elapsed_secs,
             self.throughput_rps,
@@ -270,15 +225,7 @@ impl std::fmt::Display for ServeSnapshot {
             self.p95_latency_us,
             self.p99_latency_us,
             self.max_latency_us,
-            self.max_wait_us,
         )?;
-        if self.adaptive_raises > 0 || self.adaptive_shrinks > 0 {
-            write!(
-                f,
-                " (adaptive: {} raises, {} shrinks)",
-                self.adaptive_raises, self.adaptive_shrinks
-            )?;
-        }
         if self.swap_generation > 0 {
             write!(f, " (model generation {})", self.swap_generation)?;
         }
@@ -397,20 +344,6 @@ mod tests {
         assert!(p50 < p90 && p90 < p99, "{p50} {p90} {p99}");
         assert!(p50 <= 100 * 100 && p50 > 80 * 80, "{p50}");
         assert!(p99 <= 198 * 198 && p99 > 180 * 180, "{p99}");
-    }
-
-    #[test]
-    fn adaptive_counters_and_gauge_surface_in_the_snapshot() {
-        let stats = ServeStats::new();
-        stats.set_wait_gauge(Duration::from_micros(750));
-        stats.record_adaptive(true);
-        stats.record_adaptive(true);
-        stats.record_adaptive(false);
-        let snap = stats.snapshot(Duration::from_secs(1));
-        assert_eq!(snap.max_wait_us, 750);
-        assert_eq!(snap.adaptive_raises, 2);
-        assert_eq!(snap.adaptive_shrinks, 1);
-        assert!(format!("{snap}").contains("adaptive: 2 raises, 1 shrinks"));
     }
 
     #[test]

@@ -36,10 +36,7 @@ fn concurrent_clients_observe_zero_drops_across_swaps() {
 
     let engine = ServeEngine::start(
         Arc::clone(&v1),
-        ServeConfig::default()
-            .with_workers(3)
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_micros(300)),
+        ServeConfig::default().with_workers(3).with_max_batch(4),
     );
     let stop = Arc::new(AtomicBool::new(false));
     let clients: Vec<_> = (0..CLIENTS)

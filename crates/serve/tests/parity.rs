@@ -7,7 +7,6 @@ use dsx_core::BackendKind;
 use dsx_serve::{request_input, ServeConfig, ServeEngine};
 use dsx_tensor::{allclose, Tensor, TEST_TOLERANCE};
 use std::sync::Arc;
-use std::time::Duration;
 
 const THREADS: usize = 4;
 const REQUESTS_PER_THREAD: usize = 8;
@@ -38,8 +37,7 @@ fn concurrent_batched_inference_matches_single_threaded_forward() {
             Arc::clone(&shared),
             ServeConfig::default()
                 .with_workers(THREADS)
-                .with_max_batch(8)
-                .with_max_wait(Duration::from_millis(2)),
+                .with_max_batch(8),
         );
         let outputs: Vec<Vec<(u64, Tensor)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
