@@ -19,10 +19,21 @@
 //!    window.
 //! 3. **Tap blocking in the weight gradient** — the `grad_output` strip is
 //!    loaded once per [`TAP_BLOCK`] window taps rather than once per tap.
+//! 4. **Channel-major small planes** — a plane of at most 16 pixels (the
+//!    4×4 and 2×2 layers at the end of MobileNet) fills at most two pixel
+//!    lanes, so for those the forward kernel turns the tile around: lanes
+//!    are [`LANES`] output channels of one window, and the columns of a
+//!    register tile are pixels of the whole batch. Every lane reads the
+//!    same input scalar, so each tap is one broadcast load from the input's
+//!    own channel plane and one multiply-add per column; weights are
+//!    packed per window at their own size (`[oc-block][tap][LANES]`), not
+//!    as lane-broadcast tables.
 //!
-//! The scalar tail handles plane sizes that do not divide [`LANES`], so any
-//! spatial shape is supported; the cross-backend proptest suite exercises
-//! exactly those ragged cases.
+//! In the pixel-lane kernels a scalar tail handles plane sizes that do not
+//! divide [`LANES`], so any spatial shape is supported; the cross-backend
+//! proptest suite exercises exactly those ragged cases. The tail adds the
+//! bias first, the vector strips and the small-plane path add it last, so
+//! tail pixels can differ from the other paths by an ulp.
 
 use super::{record_forward_stats, BackendKind, KernelBackend};
 use crate::backward::naive_grad_bias;
@@ -46,6 +57,15 @@ pub const OC_BLOCK: usize = 6;
 /// working set).
 pub const TAP_BLOCK: usize = 4;
 
+/// Largest plane, in pixels, that takes the channel-major small-plane
+/// forward path ([`forward_small_plane`]).
+pub(super) const SMALL_PLANE_MAX: usize = 16;
+
+/// Output columns (pixels of the batch) per small-plane register tile:
+/// `COL_BLOCK` accumulator rows of `[f32; LANES]` plus one weight row fit
+/// the 16 SIMD registers of baseline x86-64.
+const COL_BLOCK: usize = 4;
+
 /// The register-blocked execution substrate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BlockedBackend;
@@ -65,48 +85,13 @@ impl KernelBackend for BlockedBackend {
         stats: Option<&KernelStats>,
     ) -> Tensor {
         validate_shapes(cfg, input, weight, bias);
-        let (n, cin, h, w) = dims4(input);
-        let cout = cfg.cout();
-        let gw = cfg.group_width();
+        let (n, _, h, w) = dims4(input);
         let plane = h * w;
-        let cd = map.cyclic_dist().max(1);
-
-        let mut output = Tensor::zeros(&[n, cout, h, w]);
-        let in_data = input.as_slice();
-        let w_data = weight.as_slice();
-        let b_data = bias.map(|b| b.as_slice());
-
-        // Per-window tap offsets and pre-broadcast weight tables, resolved
-        // once per call and reused by every image that reads the window.
-        let window_bases = build_window_bases(map, cd, plane);
-        let window_tables = build_all_window_tables(cd, cout, w_data, b_data, gw);
-
-        // One group per (image, channel window): all output-channel planes of
-        // the group read the same input channels, so one worker streams each
-        // input tile once and feeds OC_BLOCK accumulator rows from it.
-        par::parallel_for_each_chunk_group_mut(
-            output.as_mut_slice(),
-            plane,
-            n * cd,
-            |chunk_idx| {
-                let img = chunk_idx / cout;
-                let oc = chunk_idx % cout;
-                img * cd + oc % cd
-            },
-            |group_idx, planes| {
-                let img = group_idx / cd;
-                let window = group_idx % cd;
-                let image = &in_data[img * cin * plane..(img + 1) * cin * plane];
-                forward_blocks(
-                    planes,
-                    0,
-                    &window_bases[window],
-                    image,
-                    &window_tables[window],
-                );
-            },
-        );
-
+        let output = if plane <= SMALL_PLANE_MAX {
+            forward_small_plane(cfg, map, input, weight, bias)
+        } else {
+            forward_pixel_lanes(cfg, map, input, weight, bias)
+        };
         record_forward_stats(cfg, n, plane, &output, stats);
         output
     }
@@ -124,7 +109,6 @@ impl KernelBackend for BlockedBackend {
         let plane = h * w;
         let go_data = grad_output.as_slice();
         let w_data = weight.as_slice();
-        let reverse = map.input_to_outputs();
 
         let mut grad_input = Tensor::zeros(&[n, cin, h, w]);
         par::parallel_for_each_chunk_mut(
@@ -134,7 +118,8 @@ impl KernelBackend for BlockedBackend {
                 let img = chunk_idx / cin;
                 let ic = chunk_idx % cin;
                 let go_image = &go_data[img * cout * plane..(img + 1) * cout * plane];
-                grad_input_strip(gi_plane, 0, &reverse[ic], go_image, plane, w_data, gw);
+                let pairs = map.outputs_reading(ic);
+                grad_input_strip(gi_plane, 0, pairs, go_image, plane, w_data, gw);
             },
         );
         grad_input
@@ -175,6 +160,59 @@ impl KernelBackend for BlockedBackend {
         );
         (grad_weight, naive_grad_bias(cfg, grad_output))
     }
+}
+
+/// The pixel-lane forward (ideas 1 and 2 of the module doc) for planes
+/// larger than [`SMALL_PLANE_MAX`]; the caller has validated the shapes.
+fn forward_pixel_lanes(
+    cfg: &SccConfig,
+    map: &ChannelCycleMap,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+) -> Tensor {
+    let (n, cin, h, w) = dims4(input);
+    let cout = cfg.cout();
+    let gw = cfg.group_width();
+    let plane = h * w;
+    let cd = map.cyclic_dist().max(1);
+
+    let mut output = Tensor::zeros(&[n, cout, h, w]);
+    let in_data = input.as_slice();
+    let w_data = weight.as_slice();
+    let b_data = bias.map(|b| b.as_slice());
+
+    // Per-window tap offsets and pre-broadcast weight tables, resolved
+    // once per call and reused by every image that reads the window.
+    let window_bases = build_window_bases(map, cd, plane);
+    let window_tables = build_all_window_tables(cd, cout, w_data, b_data, gw);
+
+    // One group per (image, channel window): all output-channel planes of
+    // the group read the same input channels, so one worker streams each
+    // input tile once and feeds OC_BLOCK accumulator rows from it.
+    par::parallel_for_each_chunk_group_mut(
+        output.as_mut_slice(),
+        plane,
+        n * cd,
+        |chunk_idx| {
+            let img = chunk_idx / cout;
+            let oc = chunk_idx % cout;
+            img * cd + oc % cd
+        },
+        |group_idx, planes| {
+            let img = group_idx / cd;
+            let window = group_idx % cd;
+            let image = &in_data[img * cin * plane..(img + 1) * cin * plane];
+            forward_blocks(
+                planes,
+                0,
+                &window_bases[window],
+                image,
+                &window_tables[window],
+            );
+        },
+    );
+    output
 }
 
 /// Computes one spatial pass of `OCB` output-channel strips that share an
@@ -356,14 +394,169 @@ pub(super) fn forward_blocks(
     debug_assert!(rest.is_empty(), "strips left over after the table blocks");
 }
 
+/// Channel-major SCC forward for planes of at most [`SMALL_PLANE_MAX`]
+/// pixels (idea 4 of the module doc); the caller has validated the shapes.
+///
+/// One group per cyclic window, so every output element has exactly one
+/// writer whatever the thread count. Inside a group the window's output
+/// channels go in [`LANES`]-wide blocks, and the batch's `n × plane` pixels
+/// in [`COL_BLOCK`]-wide column tiles. Each output starts at `0.0`, adds the
+/// taps in window order and then the bias — the accumulation order of the
+/// vector strips in [`forward_block`], so results are bit-identical to it.
+/// The input is read in place from its own channel planes; nothing is
+/// gathered or stacked.
+pub(super) fn forward_small_plane(
+    cfg: &SccConfig,
+    map: &ChannelCycleMap,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+) -> Tensor {
+    let (n, cin, h, w) = dims4(input);
+    let cout = cfg.cout();
+    let gw = cfg.group_width();
+    let plane = h * w;
+    let cd = map.cyclic_dist().max(1);
+    let mut output = Tensor::zeros(&[n, cout, h, w]);
+    if output.as_slice().is_empty() {
+        return output;
+    }
+    let in_data = input.as_slice();
+    let w_data = weight.as_slice();
+    let b_data = bias.map(|b| b.as_slice());
+    // Input offset of every column (image, pixel) at channel 0.
+    let col_bases: Vec<usize> = (0..n * plane)
+        .map(|col| (col / plane) * cin * plane + col % plane)
+        .collect();
+
+    par::parallel_for_each_chunk_group_mut(
+        output.as_mut_slice(),
+        plane,
+        cd,
+        |chunk_idx| (chunk_idx % cout) % cd,
+        |window, planes| {
+            // `planes` is image-major, output channels ascending within an
+            // image: entry `img * per_image + i` is channel `window + i * cd`.
+            let ocs: Vec<usize> = (window..cout).step_by(cd).collect();
+            debug_assert_eq!(planes.len(), n * ocs.len());
+            let bases: Vec<usize> = map.windows()[window]
+                .channels()
+                .iter()
+                .map(|ic| ic * plane)
+                .collect();
+            let tile = SmallPlaneTile {
+                per_image: ocs.len(),
+                plane,
+                bases: &bases,
+                col_bases: &col_bases,
+                input: in_data,
+            };
+            let mut wblk = vec![[0.0f32; LANES]; gw];
+            for (b, chunk) in ocs.chunks(LANES).enumerate() {
+                let bias = pack_block(&mut wblk, chunk, w_data, b_data);
+                let lane0 = b * LANES;
+                let mut col = 0usize;
+                while col < col_bases.len() {
+                    let take = (col_bases.len() - col).min(COL_BLOCK);
+                    match take {
+                        4 => tile.run::<4>(planes, lane0, col, &wblk, &bias),
+                        3 => tile.run::<3>(planes, lane0, col, &wblk, &bias),
+                        2 => tile.run::<2>(planes, lane0, col, &wblk, &bias),
+                        _ => tile.run::<1>(planes, lane0, col, &wblk, &bias),
+                    }
+                    col += take;
+                }
+            }
+        },
+    );
+    output
+}
+
+/// Packs the weights of up to [`LANES`] output channels (`ocs`) of one
+/// window into the small-plane layout, `wblk[j][l]` = tap `j` of channel
+/// `ocs[l]`, and returns their biases. Lanes past the end of `ocs` are
+/// zero. Each weight is packed once per forward call, into a buffer of one
+/// block's size.
+fn pack_block(
+    wblk: &mut [[f32; LANES]],
+    ocs: &[usize],
+    w_data: &[f32],
+    b_data: Option<&[f32]>,
+) -> [f32; LANES] {
+    let gw = wblk.len();
+    let mut bias = [0.0f32; LANES];
+    for l in 0..LANES {
+        match ocs.get(l) {
+            Some(&oc) => {
+                for (taps, &wj) in wblk.iter_mut().zip(&w_data[oc * gw..(oc + 1) * gw]) {
+                    taps[l] = wj;
+                }
+                bias[l] = b_data.map_or(0.0, |bd| bd[oc]);
+            }
+            None => wblk.iter_mut().for_each(|taps| taps[l] = 0.0),
+        }
+    }
+    bias
+}
+
+/// What every register tile of one small-plane window shares.
+struct SmallPlaneTile<'a> {
+    /// Output channels of the window per image.
+    per_image: usize,
+    plane: usize,
+    /// Input offset of each window tap's channel plane.
+    bases: &'a [usize],
+    /// Input offset of each column (image, pixel) at channel 0.
+    col_bases: &'a [usize],
+    input: &'a [f32],
+}
+
+impl SmallPlaneTile<'_> {
+    /// Computes the `LANES` output channels starting at window position
+    /// `lane0` for the `NC` columns starting at `col0`, and writes the
+    /// outputs that exist into `planes`.
+    fn run<const NC: usize>(
+        &self,
+        planes: &mut [(usize, &mut [f32])],
+        lane0: usize,
+        col0: usize,
+        wblk: &[[f32; LANES]],
+        bias: &[f32; LANES],
+    ) {
+        let cols: [usize; NC] = self.col_bases[col0..col0 + NC]
+            .try_into()
+            // lint: allow(panic) — the range is NC wide by construction; a
+            // failure means the column tiler is broken and must die loudly.
+            .expect("column tile is NC wide");
+        let mut acc = [[0.0f32; LANES]; NC];
+        for (&base, wv) in self.bases.iter().zip(wblk) {
+            for (row, &col) in acc.iter_mut().zip(&cols) {
+                let x = self.input[col + base];
+                for l in 0..LANES {
+                    row[l] += wv[l] * x;
+                }
+            }
+        }
+        let lanes = (self.per_image - lane0).min(LANES);
+        for (c, row) in acc.iter().enumerate() {
+            let (img, p) = ((col0 + c) / self.plane, (col0 + c) % self.plane);
+            let first = img * self.per_image + lane0;
+            for (l, (_, out)) in planes[first..first + lanes].iter_mut().enumerate() {
+                out[p] = row[l] + bias[l];
+            }
+        }
+    }
+}
+
 /// Computes one input-gradient strip covering the plane range
-/// `[t0, t0 + gi.len())`: every covering filter's contribution is pulled
+/// `[t0, t0 + gi.len())`: every covering filter's contribution — `pairs`,
+/// the `(oc, offset)` list of [`ChannelCycleMap::outputs_reading`] — is pulled
 /// into a register tile and the strip is written once (the naive kernel
 /// re-reads and re-writes the plane once per covering filter).
 pub(super) fn grad_input_strip(
     gi: &mut [f32],
     t0: usize,
-    pairs: &[(usize, usize)],
+    pairs: impl Iterator<Item = (usize, usize)> + Clone,
     go_image: &[f32],
     plane: usize,
     w_data: &[f32],
@@ -373,7 +566,7 @@ pub(super) fn grad_input_strip(
     let mut t = 0usize;
     while t + LANES <= strip_len {
         let mut acc = [0.0f32; LANES];
-        for &(oc, offset) in pairs {
+        for (oc, offset) in pairs.clone() {
             let wj = w_data[oc * gw + offset];
             let at = oc * plane + t0 + t;
             let g: [f32; LANES] = go_image[at..at + LANES]
@@ -390,7 +583,7 @@ pub(super) fn grad_input_strip(
     }
     while t < strip_len {
         let mut acc = 0.0f32;
-        for &(oc, offset) in pairs {
+        for (oc, offset) in pairs.clone() {
             acc += w_data[oc * gw + offset] * go_image[oc * plane + t0 + t];
         }
         gi[t] = acc;
@@ -541,6 +734,34 @@ mod tests {
         check(8, 7, 2, 0.5, 1, 4, 4); // ragged: some windows get 2 planes
         check(4, 10, 2, 0.5, 1, 4, 4); // cyclic_dist 4 -> groups of 2 and 3
         check(4, 20, 2, 0.5, 1, 4, 4); // groups of 5: one full block + 1
+    }
+
+    #[test]
+    fn small_plane_path_is_bit_identical_to_the_vector_strips() {
+        // Both paths start each output at 0.0, add the taps in window order
+        // and the bias last. Pixels the pixel-lane kernel sends through its
+        // scalar tail (which adds the bias first) may differ by an ulp.
+        for (cin, cout, cg, co) in [(8, 36, 2, 0.5), (8, 12, 1, 0.0), (16, 10, 4, 0.25)] {
+            let cfg = SccConfig::new(cin, cout, cg, co).unwrap();
+            let map = ChannelCycleMap::build(&cfg);
+            for (n, h, w) in [(1, 2, 4), (3, 4, 4), (2, 3, 4)] {
+                let input = Tensor::randn(&[n, cin, h, w], 21);
+                let weight = Tensor::randn(&[cout, cfg.group_width()], 22);
+                let bias = Tensor::randn(&[cout], 23);
+                for b in [Some(&bias), None] {
+                    let small = forward_small_plane(&cfg, &map, &input, &weight, b);
+                    let lanes = forward_pixel_lanes(&cfg, &map, &input, &weight, b);
+                    assert!(allclose(&small, &lanes, TEST_TOLERANCE));
+                    let vector_pixels = (h * w) / LANES * LANES;
+                    let pairs = small.as_slice().iter().zip(lanes.as_slice());
+                    for (i, (x, y)) in pairs.enumerate() {
+                        if i % (h * w) < vector_pixels {
+                            assert_eq!(x.to_bits(), y.to_bits(), "cout={cout} {h}x{w} elem {i}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   strips so the `grad_output` strip stays hot across all taps of the
 //!   row.
 //!
+//! Planes of at most 16 pixels skip the tiling: they take the blocked
+//! backend's channel-major small-plane forward, so the two backends stay
+//! bit-identical there.
+//!
 //! A grain-size heuristic (`grain_for`) batches several tasks per pool
 //! claim when planes are small (CIFAR-scale feature maps produce hundreds
 //! of tiny tasks), so the scheduler never over-decomposes the work it was
@@ -34,8 +38,8 @@
 //! pins this down).
 
 use super::blocked::{
-    build_all_window_tables, build_window_bases, forward_blocks, grad_input_strip,
-    grad_weight_tap_blocks,
+    build_all_window_tables, build_window_bases, forward_blocks, forward_small_plane,
+    grad_input_strip, grad_weight_tap_blocks, SMALL_PLANE_MAX,
 };
 use super::{record_forward_stats, BackendKind, KernelBackend, LANES};
 use crate::backward::naive_grad_bias;
@@ -100,6 +104,13 @@ impl KernelBackend for TiledBackend {
         let gw = cfg.group_width();
         let plane = h * w;
         let cd = map.cyclic_dist().max(1);
+        if plane <= SMALL_PLANE_MAX {
+            // A plane this small is one strip, so there is nothing to tile:
+            // take the blocked backend's channel-major path.
+            let output = forward_small_plane(cfg, map, input, weight, bias);
+            record_forward_stats(cfg, n, plane, &output, stats);
+            return output;
+        }
 
         let mut output = Tensor::zeros(&[n, cout, h, w]);
         if plane == 0 || n == 0 {
@@ -176,7 +187,6 @@ impl KernelBackend for TiledBackend {
         let plane = h * w;
         let go_data = grad_output.as_slice();
         let w_data = weight.as_slice();
-        let reverse = map.input_to_outputs();
 
         let mut grad_input = Tensor::zeros(&[n, cin, h, w]);
         if plane == 0 || n == 0 {
@@ -206,7 +216,8 @@ impl KernelBackend for TiledBackend {
                 let img = chunk / cin;
                 let ic = chunk % cin;
                 let go_image = &go_data[img * cout * plane..(img + 1) * cout * plane];
-                grad_input_strip(strip, t0, &reverse[ic], go_image, plane, w_data, gw);
+                let pairs = map.outputs_reading(ic);
+                grad_input_strip(strip, t0, pairs, go_image, plane, w_data, gw);
             },
         );
         grad_input

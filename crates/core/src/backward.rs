@@ -106,12 +106,11 @@ pub(crate) fn naive_grad_input(
     let go_data = grad_output.as_slice();
     let w_data = weight.as_slice();
 
-    let reverse = map.input_to_outputs();
     let mut grad_input = Tensor::zeros(&[n, cin, h, w]);
     par::parallel_for_each_chunk_mut(grad_input.as_mut_slice(), plane, |chunk_idx, gi_plane| {
         let img = chunk_idx / cin;
         let ic = chunk_idx % cin;
-        for &(oc, offset) in &reverse[ic] {
+        for (oc, offset) in map.outputs_reading(ic) {
             let wj = w_data[oc * gw + offset];
             let go_plane = &go_data[(img * cout + oc) * plane..(img * cout + oc + 1) * plane];
             for (g, &go) in gi_plane.iter_mut().zip(go_plane.iter()) {

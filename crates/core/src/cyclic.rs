@@ -72,6 +72,11 @@ pub struct ChannelCycleMap {
     cyclic_dist: usize,
     cin: usize,
     cout: usize,
+    /// The `(window, offset_within_window)` pairs of the cycle's windows
+    /// that read each input channel, ascending by window: input channel
+    /// `ic`'s pairs are `readers[reader_start[ic]..reader_start[ic + 1]]`.
+    readers: Vec<(usize, usize)>,
+    reader_start: Vec<usize>,
 }
 
 impl ChannelCycleMap {
@@ -103,11 +108,34 @@ impl ChannelCycleMap {
             start = (start + stride) % cin;
         }
         let cyclic_dist = windows.len();
+        // Counting sort of every (window, offset) tap by the channel it
+        // reads; windows are visited in order, so each channel's pairs come
+        // out ascending by window.
+        let mut reader_start = vec![0usize; cin + 1];
+        for window in &windows {
+            for offset in 0..window.len {
+                reader_start[window.channel_at(offset) + 1] += 1;
+            }
+        }
+        for ic in 0..cin {
+            reader_start[ic + 1] += reader_start[ic];
+        }
+        let mut readers = vec![(0, 0); reader_start[cin]];
+        let mut next = reader_start.clone();
+        for (w, window) in windows.iter().enumerate() {
+            for offset in 0..window.len {
+                let ic = window.channel_at(offset);
+                readers[next[ic]] = (w, offset);
+                next[ic] += 1;
+            }
+        }
         ChannelCycleMap {
             windows,
             cyclic_dist,
             cin,
             cout,
+            readers,
+            reader_start,
         }
     }
 
@@ -139,23 +167,24 @@ impl ChannelCycleMap {
         self.windows[oc % self.cyclic_dist]
     }
 
-    /// Reverse map for the input-centric backward pass: for every input
-    /// channel, the list of `(output_channel, offset_within_window)` pairs
-    /// whose filters read it.
+    /// Reverse map for the input-centric backward pass: the
+    /// `(output_channel, offset_within_window)` pairs whose filters read
+    /// input channel `ic`, ascending by output channel.
     ///
     /// The backward kernel assigns one thread per *input* gradient pixel and
     /// walks this list, pulling contributions instead of scattering them —
     /// which is exactly how the paper eliminates atomic updates (§IV-B).
-    pub fn input_to_outputs(&self) -> Vec<Vec<(usize, usize)>> {
-        let mut map = vec![Vec::new(); self.cin];
-        for oc in 0..self.cout {
-            let window = self.window_for_output(oc);
-            for offset in 0..window.len {
-                let ic = window.channel_at(offset);
-                map[ic].push((oc, offset));
-            }
-        }
-        map
+    /// Only the cycle's windows are stored (built once, `cyclic_dist ×
+    /// group_width` pairs); output channel `cycle * cyclic_dist + w` reads
+    /// through window `w`, so the pairs are expanded cycle by cycle here
+    /// instead of being held for all `cout × group_width` filter taps.
+    pub fn outputs_reading(&self, ic: usize) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        let cout = self.cout;
+        let readers = &self.readers[self.reader_start[ic]..self.reader_start[ic + 1]];
+        (0..cout)
+            .step_by(self.cyclic_dist.max(1))
+            .flat_map(move |first| readers.iter().map(move |&(w, off)| (first + w, off)))
+            .take_while(move |&(oc, _)| oc < cout)
     }
 
     /// Number of cycles needed to cover all `cout` output channels
@@ -260,13 +289,14 @@ mod tests {
     fn reverse_map_is_consistent_with_forward_windows() {
         let config = cfg(8, 24, 4, 0.5);
         let map = ChannelCycleMap::build(&config);
-        let rev = map.input_to_outputs();
-        assert_eq!(rev.len(), 8);
         // Every (oc, offset) in the reverse map must agree with the forward
-        // window, and every forward pair must appear exactly once.
+        // window, come in ascending oc order, and every forward pair must
+        // appear exactly once.
         let mut count = 0usize;
-        for (ic, pairs) in rev.iter().enumerate() {
-            for &(oc, offset) in pairs {
+        for ic in 0..8 {
+            let ocs: Vec<usize> = map.outputs_reading(ic).map(|(oc, _)| oc).collect();
+            assert!(ocs.windows(2).all(|p| p[0] < p[1]), "ic {ic}: {ocs:?}");
+            for (oc, offset) in map.outputs_reading(ic) {
                 assert_eq!(map.window_for_output(oc).channel_at(offset), ic);
                 count += 1;
             }
@@ -275,11 +305,38 @@ mod tests {
     }
 
     #[test]
+    fn reverse_map_lists_every_reading_filter_in_output_order() {
+        // The expansion from the cycle's windows must give exactly the
+        // (oc, offset) list of a walk over every filter, in the same order:
+        // the input-gradient kernels accumulate in that order.
+        for (cin, cout, cg, co) in [
+            (4, 10, 2, 0.5),
+            (6, 13, 2, 0.33),
+            (8, 24, 4, 0.5),
+            (16, 7, 4, 0.25),
+            (8, 12, 1, 0.0),
+            (12, 30, 3, 0.75),
+        ] {
+            let map = ChannelCycleMap::build(&cfg(cin, cout, cg, co));
+            let mut walk = vec![Vec::new(); cin];
+            for oc in 0..cout {
+                let window = map.window_for_output(oc);
+                for offset in 0..window.len {
+                    walk[window.channel_at(offset)].push((oc, offset));
+                }
+            }
+            for (ic, want) in walk.iter().enumerate() {
+                let got: Vec<(usize, usize)> = map.outputs_reading(ic).collect();
+                assert_eq!(&got, want, "cin={cin} cout={cout} cg={cg} co={co} ic={ic}");
+            }
+        }
+    }
+
+    #[test]
     fn every_input_channel_is_read_by_some_filter_when_cout_covers_cycle() {
         let config = cfg(16, 32, 4, 0.5);
         let map = ChannelCycleMap::build(&config);
-        let rev = map.input_to_outputs();
-        assert!(rev.iter().all(|pairs| !pairs.is_empty()));
+        assert!((0..16).all(|ic| map.outputs_reading(ic).next().is_some()));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! across `cg ∈ {1, 2, 4, 8}`, `co ∈ {0, 0.25, 0.33, 0.5, 0.75}`,
 //! non-square spatial dims, and plane sizes that do not divide the blocked
 //! kernel's tile width (`LANES`), plus a determinism check that the tiled
-//! backend produces bit-identical results at 1 and N pool threads.
+//! backend produces bit-identical results at 1 and N pool threads. The
+//! small-plane rows pin the channel-major forward (planes of at most 16
+//! pixels) to the reference, to itself across thread counts, and `Blocked`
+//! to `Tiled` bit for bit.
 
 use dsx_core::backend::LANES;
 use dsx_core::reference::{scc_backward_reference, scc_forward_reference};
@@ -258,6 +261,106 @@ fn tiled_results_are_bit_identical_across_pool_thread_counts() {
             single.as_slice(),
             pooled.as_slice(),
             "{name} must be bit-identical at 1 vs 4 pool threads"
+        );
+    }
+}
+
+/// Plane sizes around the small-plane cutoff (16 pixels): 1×1, 2×2, 3×3 and
+/// 4×4 take the channel-major path, 1×17 and 8×8 the pixel-lane strips.
+const SMALL_PLANES: [(usize, usize); 6] = [(1, 1), (2, 2), (3, 3), (4, 4), (1, 17), (8, 8)];
+
+/// Forward of `kind` on a fresh random case; `bias` toggles the bias term.
+fn small_forward(
+    kind: BackendKind,
+    cfg: &SccConfig,
+    n: usize,
+    (h, w): (usize, usize),
+    bias: bool,
+) -> (Tensor, Tensor) {
+    let map = ChannelCycleMap::build(cfg);
+    let input = Tensor::randn(&[n, cfg.cin(), h, w], 101);
+    let weight = Tensor::randn(&[cfg.cout(), cfg.group_width()], 102);
+    let b = Tensor::randn(&[cfg.cout()], 103);
+    let b = bias.then_some(&b);
+    let got = kind.backend().forward(cfg, &map, &input, &weight, b, None);
+    (got, scc_forward_reference(cfg, &input, &weight, b))
+}
+
+/// Small-plane parity with the scalar reference over planes × batches ×
+/// `cg`, GPW (`co = 0`) included, at `TEST_TOLERANCE`.
+#[test]
+fn small_plane_forward_matches_the_reference() {
+    for plane in SMALL_PLANES {
+        for n in [1usize, 3, 4] {
+            for cg in [1usize, 2, 4, 8] {
+                for co in [0.0f64, 0.5] {
+                    let cfg = SccConfig::new(16, 13, cg, co).unwrap();
+                    for kind in [BackendKind::Blocked, BackendKind::Tiled] {
+                        let (got, want) = small_forward(kind, &cfg, n, plane, true);
+                        assert!(
+                            allclose(&got, &want, TEST_TOLERANCE),
+                            "{kind} != reference: cg={cg} co={co} n={n} plane={plane:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Window groups of 1, 7, 8 and 9 output channels: one lane, a ragged
+/// block, a full block, and a full block plus a one-lane block.
+#[test]
+fn small_plane_forward_covers_ragged_output_channel_blocks() {
+    for per_window in [1usize, 7, 8, 9] {
+        // cin 8, cg 2, co 50 %: windows start at 0, 2, 4, 6, so four
+        // windows share the output channels round-robin.
+        let cfg = SccConfig::new(8, 4 * per_window, 2, 0.5).unwrap();
+        assert_eq!(ChannelCycleMap::build(&cfg).cyclic_dist(), 4);
+        for plane in [(1, 1), (2, 2), (3, 3), (4, 4)] {
+            for n in [1usize, 3] {
+                for bias in [true, false] {
+                    let (got, want) = small_forward(BackendKind::Blocked, &cfg, n, plane, bias);
+                    assert!(
+                        allclose(&got, &want, TEST_TOLERANCE),
+                        "{per_window} channels per window, n={n} plane={plane:?} bias={bias}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Small-plane forward at 1 and 4 pool threads, and `Blocked` against
+/// `Tiled` at one thread: bit for bit, not within tolerance. Each window
+/// is one group with one writer per output, so neither the thread count
+/// nor the backend changes an accumulation order.
+#[test]
+fn small_plane_forward_is_bit_identical_across_pool_thread_counts() {
+    let cfg = SccConfig::new(16, 36, 2, 0.5).unwrap();
+    let run = |kind: BackendKind, plane| small_forward(kind, &cfg, 4, plane, true).0;
+    for plane in [(1, 1), (2, 2), (3, 3), (4, 4)] {
+        dsx_tensor::set_num_threads(1);
+        let blocked_single = run(BackendKind::Blocked, plane);
+        let tiled_single = run(BackendKind::Tiled, plane);
+        dsx_tensor::set_num_threads(4);
+        let blocked_pooled = run(BackendKind::Blocked, plane);
+        let tiled_pooled = run(BackendKind::Tiled, plane);
+        dsx_tensor::set_num_threads(0);
+        assert_eq!(
+            blocked_single.as_slice(),
+            blocked_pooled.as_slice(),
+            "Blocked at 1 vs 4 threads, plane {plane:?}"
+        );
+        assert_eq!(
+            tiled_single.as_slice(),
+            tiled_pooled.as_slice(),
+            "Tiled at 1 vs 4 threads, plane {plane:?}"
+        );
+        assert_eq!(
+            blocked_single.as_slice(),
+            tiled_single.as_slice(),
+            "Blocked vs Tiled at one thread, plane {plane:?}"
         );
     }
 }

@@ -567,6 +567,106 @@ pub fn atomics_study() -> Vec<AtomicsRow> {
     ]
 }
 
+/// The operators of a [`FusionCostRow`], in column order.
+pub const FUSION_OPERATORS: [&str; 3] = ["SCC", "GPW", "PW"];
+
+/// One MobileNet-CIFAR channel-fusion layer run as SCC (the `Blocked`
+/// kernels), as GPW at the same `cg`, and as PW (`dsx-experiments
+/// fusion-cost`). Arrays are indexed like [`FUSION_OPERATORS`].
+#[derive(Debug, Clone)]
+pub struct FusionCostRow {
+    /// Layer name from the model spec.
+    pub layer: String,
+    /// Input channels.
+    pub cin: usize,
+    /// Output channels.
+    pub cout: usize,
+    /// Feature-map edge: the plane is `hw × hw`.
+    pub hw: usize,
+    /// Batch size of one call.
+    pub batch: usize,
+    /// Multiply-accumulates of one call over the whole batch.
+    pub macs: [usize; 3],
+    /// Time of one call, in milliseconds, as the caller's timer saw it.
+    pub ms: [f64; 3],
+}
+
+impl FusionCostRow {
+    /// Achieved GMAC/s of operator `op` (an index into
+    /// [`FUSION_OPERATORS`]).
+    pub fn gmacs(&self, op: usize) -> f64 {
+        self.macs[op] as f64 / (self.ms[op] * 1.0e6)
+    }
+}
+
+/// Builds one [`FusionCostRow`] per fusion layer of MobileNet-CIFAR under
+/// DW+SCC (`cg` 2, `co` 50 %) at `batch`. Every operator runs without bias,
+/// as in the model, on the `Blocked` backend; `time_ms(layer, input)` times
+/// its `infer` (see [`best_infer_ms`]).
+pub fn fusion_cost(
+    batch: usize,
+    mut time_ms: impl FnMut(&dyn dsx_nn::Layer, &dsx_tensor::Tensor) -> f64,
+) -> Vec<FusionCostRow> {
+    use dsx_core::BackendKind;
+    use dsx_models::ConvKind;
+    use dsx_nn::{Conv2d, SccConv2d};
+    let spec = ModelKind::MobileNet.spec(Dataset::Cifar10, ConvScheme::DSXPLORE_DEFAULT);
+    spec.scc_layers()
+        .into_iter()
+        .enumerate()
+        .map(|(idx, conv)| {
+            // lint: allow(panic) — `scc_layers` yields sliding-channel layers
+            // of a catalog spec, which always carry a valid SCC config.
+            let cfg = conv.scc_config().expect("an SCC layer has an SCC config");
+            let (cin, cout, hw) = (conv.cin, conv.cout, conv.out_hw());
+            let seed = idx as u64;
+            let input = dsx_tensor::Tensor::randn(&[batch, cin, hw, hw], seed);
+            let scc = SccConv2d::new(cfg, seed)
+                .without_bias()
+                .with_backend(BackendKind::Blocked);
+            let gpw = Conv2d::group_pointwise(cin, cout, cfg.cg(), seed)
+                .without_bias()
+                .with_backend(BackendKind::Blocked);
+            let pw = Conv2d::pointwise(cin, cout, seed)
+                .without_bias()
+                .with_backend(BackendKind::Blocked);
+            let macs_as = |kind| {
+                let mut layer = conv.clone();
+                layer.kind = kind;
+                layer.macs() * batch
+            };
+            FusionCostRow {
+                layer: conv.name.clone(),
+                cin,
+                cout,
+                hw,
+                batch,
+                macs: [
+                    conv.macs() * batch,
+                    macs_as(ConvKind::GroupPointwise { cg: cfg.cg() }),
+                    macs_as(ConvKind::Pointwise),
+                ],
+                ms: [
+                    time_ms(&scc, &input),
+                    time_ms(&gpw, &input),
+                    time_ms(&pw, &input),
+                ],
+            }
+        })
+        .collect()
+}
+
+/// The fastest of `runs` calls of `layer.infer(input)`, in milliseconds.
+pub fn best_infer_ms(layer: &dyn dsx_nn::Layer, input: &dsx_tensor::Tensor, runs: usize) -> f64 {
+    (0..runs.max(1))
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(layer.infer(input));
+            start.elapsed().as_secs_f64() * 1.0e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Outcome of the train→save half of the model lifecycle
 /// (`dsx-experiments train-serve`).
 #[derive(Debug)]
@@ -622,6 +722,27 @@ pub fn train_serving_checkpoint(cfg: &TrainConfig) -> TrainServeOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fusion_cost_has_one_row_per_mobilenet_fusion_layer_at_equal_scc_and_gpw_macs() {
+        let rows = fusion_cost(2, |_, _| 0.0);
+        assert_eq!(rows.len(), 13);
+        for row in &rows {
+            assert_eq!(row.batch, 2);
+            assert_eq!(
+                row.macs[0], row.macs[1],
+                "{}: SCC MACs != GPW MACs",
+                row.layer
+            );
+            assert_eq!(
+                row.macs[2],
+                2 * row.macs[0],
+                "{}: PW is cg = 2 times SCC",
+                row.layer
+            );
+            assert_eq!(row.macs[0], 2 * row.cout * (row.cin / 2) * row.hw * row.hw);
+        }
+    }
 
     #[test]
     fn table1_scc_matches_gpw_cost_and_pw_accuracy_class() {

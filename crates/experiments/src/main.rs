@@ -9,6 +9,8 @@
 //!   table1 table2 table3 table4 table5
 //!   fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //!   atomics      kernel-level atomic-operation study (§V-D)
+//!   fusion-cost  SCC vs GPW vs PW time and GMAC/s per MobileNet-CIFAR
+//!                fusion layer, batch 1 and 4, one thread (real kernels)
 //!   train-serve  train the compact serving tower and (with --save PATH)
 //!                write a versioned checkpoint for `dsx-serve --model`
 //!   all          run everything (analytic columns only unless --train)
@@ -67,6 +69,48 @@ fn print_series(title: &str, rows: &[SeriesPoint], x_label: &str, y_label: &str)
     for point in rows {
         println!("{:<12} {:>12.2} {:>16.6}", point.model, point.x, point.y);
     }
+}
+
+fn print_fusion_cost(rows: &[FusionCostRow]) {
+    let batch = rows.first().map_or(0, |r| r.batch);
+    println!("\n=== Fusion-layer cost: MobileNet-CIFAR, batch {batch}, one thread, best of 5 ===");
+    print!(
+        "{:<10} {:>11} {:>5} {:>8}",
+        "Layer", "Cin->Cout", "HxW", "MMAC"
+    );
+    for op in FUSION_OPERATORS {
+        print!(" {:>8} {:>8}", format!("{op} ms"), "GMAC/s");
+    }
+    println!();
+    let mut total_ms = [0.0f64; 3];
+    let mut total_macs = [0usize; 3];
+    for row in rows {
+        print!(
+            "{:<10} {:>11} {:>5} {:>8.2}",
+            row.layer,
+            format!("{}->{}", row.cin, row.cout),
+            format!("{0}x{0}", row.hw),
+            row.macs[0] as f64 / 1.0e6
+        );
+        for op in 0..FUSION_OPERATORS.len() {
+            print!(" {:>8.3} {:>8.2}", row.ms[op], row.gmacs(op));
+            total_ms[op] += row.ms[op];
+            total_macs[op] += row.macs[op];
+        }
+        println!();
+    }
+    print!(
+        "{:<10} {:>11} {:>5} {:>8.2}",
+        "total",
+        "",
+        "",
+        total_macs[0] as f64 / 1.0e6
+    );
+    for op in 0..FUSION_OPERATORS.len() {
+        let gmacs = total_macs[op] as f64 / (total_ms[op] * 1.0e6);
+        print!(" {:>8.3} {:>8.2}", total_ms[op], gmacs);
+    }
+    println!();
 }
 
 fn run(command: &str, train_cfg: Option<&TrainConfig>) {
@@ -158,6 +202,13 @@ fn run(command: &str, train_cfg: Option<&TrainConfig>) {
             "GPUs",
             "speedup (x)",
         ),
+        "fusion-cost" => {
+            // One thread, so GMAC/s compares kernels, not core counts.
+            dsx_tensor::set_num_threads(1);
+            for batch in [1, 4] {
+                print_fusion_cost(&fusion_cost(batch, |layer, x| best_infer_ms(layer, x, 5)));
+            }
+        }
         "atomics" => {
             println!("\n=== Atomic-operation study (§V-D) ===");
             for r in atomics_study() {
@@ -175,7 +226,7 @@ fn run(command: &str, train_cfg: Option<&TrainConfig>) {
         other => {
             eprintln!("unknown command: {other}");
             eprintln!(
-                "commands: table1..table5, fig7..fig14, atomics, train-serve, all  (add --train for accuracy columns)"
+                "commands: table1..table5, fig7..fig14, atomics, fusion-cost, train-serve, all  (add --train for accuracy columns)"
             );
             std::process::exit(2);
         }
