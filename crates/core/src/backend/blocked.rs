@@ -105,7 +105,6 @@ impl KernelBackend for BlockedBackend {
     ) -> Tensor {
         let (n, cout, h, w) = dims4(grad_output);
         let cin = cfg.cin();
-        let gw = cfg.group_width();
         let plane = h * w;
         let go_data = grad_output.as_slice();
         let w_data = weight.as_slice();
@@ -118,8 +117,7 @@ impl KernelBackend for BlockedBackend {
                 let img = chunk_idx / cin;
                 let ic = chunk_idx % cin;
                 let go_image = &go_data[img * cout * plane..(img + 1) * cout * plane];
-                let pairs = map.outputs_reading(ic);
-                grad_input_strip(gi_plane, 0, pairs, go_image, plane, w_data, gw);
+                grad_input_strip(gi_plane, 0, map, ic, go_image, plane, w_data);
             },
         );
         grad_input
@@ -424,11 +422,6 @@ pub(super) fn forward_small_plane(
     let in_data = input.as_slice();
     let w_data = weight.as_slice();
     let b_data = bias.map(|b| b.as_slice());
-    // Input offset of every column (image, pixel) at channel 0.
-    let col_bases: Vec<usize> = (0..n * plane)
-        .map(|col| (col / plane) * cin * plane + col % plane)
-        .collect();
-
     par::parallel_for_each_chunk_group_mut(
         output.as_mut_slice(),
         plane,
@@ -444,27 +437,29 @@ pub(super) fn forward_small_plane(
                 .iter()
                 .map(|ic| ic * plane)
                 .collect();
-            let tile = SmallPlaneTile {
-                per_image: ocs.len(),
-                plane,
-                bases: &bases,
-                col_bases: &col_bases,
-                input: in_data,
-            };
             let mut wblk = vec![[0.0f32; LANES]; gw];
             for (b, chunk) in ocs.chunks(LANES).enumerate() {
                 let bias = pack_block(&mut wblk, chunk, w_data, b_data);
-                let lane0 = b * LANES;
-                let mut col = 0usize;
-                while col < col_bases.len() {
-                    let take = (col_bases.len() - col).min(COL_BLOCK);
-                    match take {
-                        4 => tile.run::<4>(planes, lane0, col, &wblk, &bias),
-                        3 => tile.run::<3>(planes, lane0, col, &wblk, &bias),
-                        2 => tile.run::<2>(planes, lane0, col, &wblk, &bias),
-                        _ => tile.run::<1>(planes, lane0, col, &wblk, &bias),
+                for img in 0..n {
+                    let tile = SmallPlaneTile {
+                        image: &in_data[img * cin * plane..(img + 1) * cin * plane],
+                        bases: &bases,
+                        wblk: &wblk,
+                        bias: &bias,
+                    };
+                    let first = img * ocs.len() + b * LANES;
+                    let outs = &mut planes[first..first + chunk.len()];
+                    let mut p = 0usize;
+                    while p < plane {
+                        let take = (plane - p).min(COL_BLOCK);
+                        match take {
+                            4 => tile.run::<4>(outs, p),
+                            3 => tile.run::<3>(outs, p),
+                            2 => tile.run::<2>(outs, p),
+                            _ => tile.run::<1>(outs, p),
+                        }
+                        p += take;
                     }
-                    col += take;
                 }
             }
         },
@@ -499,96 +494,116 @@ fn pack_block(
     bias
 }
 
-/// What every register tile of one small-plane window shares.
+/// One image's share of a small-plane register tile: [`LANES`] output
+/// channels of one window, packed by [`pack_block`].
 struct SmallPlaneTile<'a> {
-    /// Output channels of the window per image.
-    per_image: usize,
-    plane: usize,
-    /// Input offset of each window tap's channel plane.
+    /// The image's input, `[cin][plane]`.
+    image: &'a [f32],
+    /// Offset of each window tap's channel plane in `image`.
     bases: &'a [usize],
-    /// Input offset of each column (image, pixel) at channel 0.
-    col_bases: &'a [usize],
-    input: &'a [f32],
+    wblk: &'a [[f32; LANES]],
+    bias: &'a [f32; LANES],
 }
 
 impl SmallPlaneTile<'_> {
-    /// Computes the `LANES` output channels starting at window position
-    /// `lane0` for the `NC` columns starting at `col0`, and writes the
-    /// outputs that exist into `planes`.
-    fn run<const NC: usize>(
-        &self,
-        planes: &mut [(usize, &mut [f32])],
-        lane0: usize,
-        col0: usize,
-        wblk: &[[f32; LANES]],
-        bias: &[f32; LANES],
-    ) {
-        let cols: [usize; NC] = self.col_bases[col0..col0 + NC]
-            .try_into()
-            // lint: allow(panic) — the range is NC wide by construction; a
-            // failure means the column tiler is broken and must die loudly.
-            .expect("column tile is NC wide");
+    /// Computes pixels `p0..p0 + NC` of the tile's channels and writes them
+    /// to `outs`, the image's output planes of those channels (one per
+    /// lane that exists). The `NC` pixels of a tap are one contiguous load
+    /// from the tap's channel plane, broadcast across the lanes.
+    fn run<const NC: usize>(&self, outs: &mut [(usize, &mut [f32])], p0: usize) {
         let mut acc = [[0.0f32; LANES]; NC];
-        for (&base, wv) in self.bases.iter().zip(wblk) {
-            for (row, &col) in acc.iter_mut().zip(&cols) {
-                let x = self.input[col + base];
+        for (&base, wv) in self.bases.iter().zip(self.wblk) {
+            let at = base + p0;
+            let x: [f32; NC] = self.image[at..at + NC]
+                .try_into()
+                // lint: allow(panic) — the range is NC wide by construction;
+                // a failure means the pixel tiler is broken and must die
+                // loudly, not corrupt output.
+                .expect("pixel tile is NC wide");
+            for (row, &xc) in acc.iter_mut().zip(&x) {
                 for l in 0..LANES {
-                    row[l] += wv[l] * x;
+                    row[l] += wv[l] * xc;
                 }
             }
         }
-        let lanes = (self.per_image - lane0).min(LANES);
-        for (c, row) in acc.iter().enumerate() {
-            let (img, p) = ((col0 + c) / self.plane, (col0 + c) % self.plane);
-            let first = img * self.per_image + lane0;
-            for (l, (_, out)) in planes[first..first + lanes].iter_mut().enumerate() {
-                out[p] = row[l] + bias[l];
+        for (l, (_, out)) in outs.iter_mut().enumerate() {
+            for (c, row) in acc.iter().enumerate() {
+                out[p0 + c] = row[l] + self.bias[l];
             }
         }
     }
 }
 
+/// Pixels per input-gradient register tile: [`GI_STRIPS`] `LANES`-wide
+/// strips share every weight load and every walk of the reverse map.
+const GI_STRIPS: usize = 4;
+
 /// Computes one input-gradient strip covering the plane range
-/// `[t0, t0 + gi.len())`: every covering filter's contribution — `pairs`,
-/// the `(oc, offset)` list of [`ChannelCycleMap::outputs_reading`] — is pulled
+/// `[t0, t0 + gi.len())` of input channel `ic`: every covering filter's
+/// contribution ([`ChannelCycleMap::for_each_output_reading`]) is pulled
 /// into a register tile and the strip is written once (the naive kernel
 /// re-reads and re-writes the plane once per covering filter).
 pub(super) fn grad_input_strip(
     gi: &mut [f32],
     t0: usize,
-    pairs: impl Iterator<Item = (usize, usize)> + Clone,
+    map: &ChannelCycleMap,
+    ic: usize,
     go_image: &[f32],
     plane: usize,
     w_data: &[f32],
-    gw: usize,
 ) {
+    let gw = map.windows().first().map_or(0, |w| w.len);
     let strip_len = gi.len();
     let mut t = 0usize;
-    while t + LANES <= strip_len {
-        let mut acc = [0.0f32; LANES];
-        for (oc, offset) in pairs.clone() {
-            let wj = w_data[oc * gw + offset];
-            let at = oc * plane + t0 + t;
-            let g: [f32; LANES] = go_image[at..at + LANES]
-                .try_into()
-                // lint: allow(panic) — LANES-wide by construction (see the
-                // forward kernel's identical conversion).
-                .expect("strip is LANES wide");
-            for l in 0..LANES {
-                acc[l] += wj * g[l];
-            }
+    while t + GI_STRIPS * LANES <= strip_len {
+        let acc = grad_input_tile::<GI_STRIPS>(map, ic, go_image, plane, w_data, gw, t0 + t);
+        for (dst, row) in gi[t..t + GI_STRIPS * LANES]
+            .chunks_exact_mut(LANES)
+            .zip(&acc)
+        {
+            dst.copy_from_slice(row);
         }
+        t += GI_STRIPS * LANES;
+    }
+    while t + LANES <= strip_len {
+        let [acc] = grad_input_tile::<1>(map, ic, go_image, plane, w_data, gw, t0 + t);
         gi[t..t + LANES].copy_from_slice(&acc);
         t += LANES;
     }
     while t < strip_len {
         let mut acc = 0.0f32;
-        for (oc, offset) in pairs.clone() {
+        map.for_each_output_reading(ic, |oc, offset| {
             acc += w_data[oc * gw + offset] * go_image[oc * plane + t0 + t];
-        }
+        });
         gi[t] = acc;
         t += 1;
     }
+}
+
+/// `S` consecutive `LANES`-wide input-gradient strips starting at plane
+/// position `at0` of input channel `ic`; each pixel sums its covering
+/// filters in the order of [`ChannelCycleMap::for_each_output_reading`].
+fn grad_input_tile<const S: usize>(
+    map: &ChannelCycleMap,
+    ic: usize,
+    go_image: &[f32],
+    plane: usize,
+    w_data: &[f32],
+    gw: usize,
+    at0: usize,
+) -> [[f32; LANES]; S] {
+    let mut acc = [[0.0f32; LANES]; S];
+    map.for_each_output_reading(ic, |oc, offset| {
+        let wj = w_data[oc * gw + offset];
+        let at = oc * plane + at0;
+        let g = &go_image[at..at + S * LANES];
+        for s in 0..S {
+            for l in 0..LANES {
+                acc[s][l] += wj * g[s * LANES + l];
+            }
+        }
+    });
+    acc
 }
 
 /// Accumulates one filter row's weight gradient over the plane range

@@ -183,7 +183,6 @@ impl KernelBackend for TiledBackend {
     ) -> Tensor {
         let (n, cout, h, w) = dims4(grad_output);
         let cin = cfg.cin();
-        let gw = cfg.group_width();
         let plane = h * w;
         let go_data = grad_output.as_slice();
         let w_data = weight.as_slice();
@@ -216,8 +215,7 @@ impl KernelBackend for TiledBackend {
                 let img = chunk / cin;
                 let ic = chunk % cin;
                 let go_image = &go_data[img * cout * plane..(img + 1) * cout * plane];
-                let pairs = map.outputs_reading(ic);
-                grad_input_strip(strip, t0, pairs, go_image, plane, w_data, gw);
+                grad_input_strip(strip, t0, map, ic, go_image, plane, w_data);
             },
         );
         grad_input

@@ -110,13 +110,13 @@ pub(crate) fn naive_grad_input(
     par::parallel_for_each_chunk_mut(grad_input.as_mut_slice(), plane, |chunk_idx, gi_plane| {
         let img = chunk_idx / cin;
         let ic = chunk_idx % cin;
-        for (oc, offset) in map.outputs_reading(ic) {
+        map.for_each_output_reading(ic, |oc, offset| {
             let wj = w_data[oc * gw + offset];
             let go_plane = &go_data[(img * cout + oc) * plane..(img * cout + oc + 1) * plane];
             for (g, &go) in gi_plane.iter_mut().zip(go_plane.iter()) {
                 *g += wj * go;
             }
-        }
+        });
     });
     grad_input
 }

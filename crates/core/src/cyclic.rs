@@ -167,9 +167,9 @@ impl ChannelCycleMap {
         self.windows[oc % self.cyclic_dist]
     }
 
-    /// Reverse map for the input-centric backward pass: the
-    /// `(output_channel, offset_within_window)` pairs whose filters read
-    /// input channel `ic`, ascending by output channel.
+    /// Reverse map for the input-centric backward pass: calls
+    /// `f(output_channel, offset_within_window)` for every filter that reads
+    /// input channel `ic`, in ascending output-channel order.
     ///
     /// The backward kernel assigns one thread per *input* gradient pixel and
     /// walks this list, pulling contributions instead of scattering them —
@@ -178,13 +178,20 @@ impl ChannelCycleMap {
     /// group_width` pairs); output channel `cycle * cyclic_dist + w` reads
     /// through window `w`, so the pairs are expanded cycle by cycle here
     /// instead of being held for all `cout × group_width` filter taps.
-    pub fn outputs_reading(&self, ic: usize) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
-        let cout = self.cout;
+    #[inline]
+    pub fn for_each_output_reading(&self, ic: usize, mut f: impl FnMut(usize, usize)) {
         let readers = &self.readers[self.reader_start[ic]..self.reader_start[ic + 1]];
-        (0..cout)
-            .step_by(self.cyclic_dist.max(1))
-            .flat_map(move |first| readers.iter().map(move |&(w, off)| (first + w, off)))
-            .take_while(move |&(oc, _)| oc < cout)
+        for first in (0..self.cout).step_by(self.cyclic_dist.max(1)) {
+            for &(window, offset) in readers {
+                // Only the last cycle can be partial; its windows past
+                // `cout` have no filter. (One call site for `f`, so hot
+                // kernels get it inlined.)
+                if first + window >= self.cout {
+                    break;
+                }
+                f(first + window, offset);
+            }
+        }
     }
 
     /// Number of cycles needed to cover all `cout` output channels
@@ -200,6 +207,12 @@ mod tests {
 
     fn cfg(cin: usize, cout: usize, cg: usize, co: f64) -> SccConfig {
         SccConfig::new(cin, cout, cg, co).unwrap()
+    }
+
+    fn readers_of(map: &ChannelCycleMap, ic: usize) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        map.for_each_output_reading(ic, |oc, offset| pairs.push((oc, offset)));
+        pairs
     }
 
     #[test]
@@ -294,9 +307,12 @@ mod tests {
         // appear exactly once.
         let mut count = 0usize;
         for ic in 0..8 {
-            let ocs: Vec<usize> = map.outputs_reading(ic).map(|(oc, _)| oc).collect();
-            assert!(ocs.windows(2).all(|p| p[0] < p[1]), "ic {ic}: {ocs:?}");
-            for (oc, offset) in map.outputs_reading(ic) {
+            let pairs = readers_of(&map, ic);
+            assert!(
+                pairs.windows(2).all(|p| p[0].0 < p[1].0),
+                "ic {ic}: {pairs:?}"
+            );
+            for (oc, offset) in pairs {
                 assert_eq!(map.window_for_output(oc).channel_at(offset), ic);
                 count += 1;
             }
@@ -326,8 +342,11 @@ mod tests {
                 }
             }
             for (ic, want) in walk.iter().enumerate() {
-                let got: Vec<(usize, usize)> = map.outputs_reading(ic).collect();
-                assert_eq!(&got, want, "cin={cin} cout={cout} cg={cg} co={co} ic={ic}");
+                assert_eq!(
+                    &readers_of(&map, ic),
+                    want,
+                    "cin={cin} cout={cout} cg={cg} co={co} ic={ic}"
+                );
             }
         }
     }
@@ -336,7 +355,7 @@ mod tests {
     fn every_input_channel_is_read_by_some_filter_when_cout_covers_cycle() {
         let config = cfg(16, 32, 4, 0.5);
         let map = ChannelCycleMap::build(&config);
-        assert!((0..16).all(|ic| map.outputs_reading(ic).next().is_some()));
+        assert!((0..16).all(|ic| !readers_of(&map, ic).is_empty()));
     }
 
     #[test]

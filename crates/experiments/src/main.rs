@@ -75,7 +75,7 @@ fn print_fusion_cost(rows: &[FusionCostRow]) {
     let batch = rows.first().map_or(0, |r| r.batch);
     println!("\n=== Fusion-layer cost: MobileNet-CIFAR, batch {batch}, one thread, best of 5 ===");
     print!(
-        "{:<10} {:>11} {:>5} {:>8}",
+        "{:<12} {:>11} {:>5} {:>8}",
         "Layer", "Cin->Cout", "HxW", "MMAC"
     );
     for op in FUSION_OPERATORS {
@@ -86,7 +86,7 @@ fn print_fusion_cost(rows: &[FusionCostRow]) {
     let mut total_macs = [0usize; 3];
     for row in rows {
         print!(
-            "{:<10} {:>11} {:>5} {:>8.2}",
+            "{:<12} {:>11} {:>5} {:>8.2}",
             row.layer,
             format!("{}->{}", row.cin, row.cout),
             format!("{0}x{0}", row.hw),
@@ -100,7 +100,7 @@ fn print_fusion_cost(rows: &[FusionCostRow]) {
         println!();
     }
     print!(
-        "{:<10} {:>11} {:>5} {:>8.2}",
+        "{:<12} {:>11} {:>5} {:>8.2}",
         "total",
         "",
         "",
