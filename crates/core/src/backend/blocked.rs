@@ -479,19 +479,24 @@ fn pack_block(
     b_data: Option<&[f32]>,
 ) -> [f32; LANES] {
     let gw = wblk.len();
-    let mut bias = [0.0f32; LANES];
-    for l in 0..LANES {
-        match ocs.get(l) {
-            Some(&oc) => {
-                for (taps, &wj) in wblk.iter_mut().zip(&w_data[oc * gw..(oc + 1) * gw]) {
-                    taps[l] = wj;
-                }
-                bias[l] = b_data.map_or(0.0, |bd| bd[oc]);
-            }
-            None => wblk.iter_mut().for_each(|taps| taps[l] = 0.0),
-        }
+    let zeros = if ocs.len() < LANES {
+        vec![0.0f32; gw]
+    } else {
+        Vec::new()
+    };
+    let rows: [&[f32]; LANES] = std::array::from_fn(|l| match ocs.get(l) {
+        Some(&oc) => &w_data[oc * gw..(oc + 1) * gw],
+        None => &zeros[..],
+    });
+    // Re-slicing to `gw` lets the compiler drop the per-tap bounds checks.
+    let rows = rows.map(|row| &row[..gw]);
+    for (j, taps) in wblk.iter_mut().enumerate() {
+        *taps = std::array::from_fn(|l| rows[l][j]);
     }
-    bias
+    std::array::from_fn(|l| match (ocs.get(l), b_data) {
+        (Some(&oc), Some(bd)) => bd[oc],
+        _ => 0.0,
+    })
 }
 
 /// One image's share of a small-plane register tile: [`LANES`] output
