@@ -23,11 +23,12 @@
 //!    4×4 and 2×2 layers at the end of MobileNet) fills at most two pixel
 //!    lanes, so for those the forward kernel turns the tile around: lanes
 //!    are [`LANES`] output channels of one window, and the columns of a
-//!    register tile are pixels of the whole batch. Every lane reads the
-//!    same input scalar, so each tap is one broadcast load from the input's
-//!    own channel plane and one multiply-add per column; weights are
-//!    packed per window at their own size (`[oc-block][tap][LANES]`), not
-//!    as lane-broadcast tables.
+//!    register tile are up to [`COL_BLOCK`] pixels of one image. Every lane
+//!    reads the same input scalar, so each tap is one contiguous load from
+//!    the input's own channel plane, broadcast per column, and one
+//!    multiply-add per column; weights are packed one 8-channel block at a
+//!    time (`[tap][LANES]`, each weight once per call), not as
+//!    lane-broadcast tables.
 //!
 //! In the pixel-lane kernels a scalar tail handles plane sizes that do not
 //! divide [`LANES`], so any spatial shape is supported; the cross-backend
@@ -61,9 +62,9 @@ pub const TAP_BLOCK: usize = 4;
 /// forward path ([`forward_small_plane`]).
 pub(super) const SMALL_PLANE_MAX: usize = 16;
 
-/// Output columns (pixels of the batch) per small-plane register tile:
-/// `COL_BLOCK` accumulator rows of `[f32; LANES]` plus one weight row fit
-/// the 16 SIMD registers of baseline x86-64.
+/// Pixels of one image per small-plane register tile: `COL_BLOCK`
+/// accumulator rows of `[f32; LANES]`, one weight row and the broadcast
+/// pixel fit the 16 SIMD registers of baseline x86-64 without spills.
 const COL_BLOCK: usize = 4;
 
 /// The register-blocked execution substrate.
@@ -397,8 +398,8 @@ pub(super) fn forward_blocks(
 ///
 /// One group per cyclic window, so every output element has exactly one
 /// writer whatever the thread count. Inside a group the window's output
-/// channels go in [`LANES`]-wide blocks, and the batch's `n × plane` pixels
-/// in [`COL_BLOCK`]-wide column tiles. Each output starts at `0.0`, adds the
+/// channels go in [`LANES`]-wide blocks, and each image's pixels in tiles
+/// of up to [`COL_BLOCK`]. Each output starts at `0.0`, adds the
 /// taps in window order and then the bias — the accumulation order of the
 /// vector strips in [`forward_block`], so results are bit-identical to it.
 /// The input is read in place from its own channel planes; nothing is
