@@ -113,7 +113,7 @@ impl KernelBackend for TiledBackend {
         }
 
         let mut output = Tensor::zeros(&[n, cout, h, w]);
-        if plane == 0 || n == 0 {
+        if n == 0 {
             record_forward_stats(cfg, n, plane, &output, stats);
             return output;
         }
