@@ -1,8 +1,8 @@
 //! PR6 dense-conv bench: every backend's cache-free `Conv2d` forward at 1
 //! and N pool threads on the CIFAR-scale and large-plane dense workloads —
 //! written to `BENCH_PR6.json` and gated in CI by `DSX_DENSE_MIN_SPEEDUP`
-//! / `DSX_SWSUM_MIN_SPEEDUP` (multi-core hosts only; see `dsx_bench::pr6`
-//! for the knobs and skip rules).
+//! (multi-core hosts only; see `dsx_bench::pr6` for the knobs and skip
+//! rules).
 
 use dsx_bench::{pr5, pr6};
 

@@ -1,6 +1,6 @@
 //! Substrate microbenchmarks: GEMM variants, im2col lowering and the channel
 //! slicing/concatenation operators that the composition baselines are built
-//! from (the ablation benches called out in DESIGN.md §5).
+//! from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsx_tensor::conv::im2col;

@@ -6,7 +6,7 @@
 //! --threads N          pool thread count (0 = hardware default); exercises
 //!                      the persistent worker pool when N > 1
 //! --backend KIND       probe only this backend (repeatable;
-//!                      naive|blocked|tiled|swsum). Without it, the full
+//!                      naive|blocked|tiled). Without it, the full
 //!                      BENCH_PR2 report runs (all backends + JSON + gate).
 //! --dense              probe the dense `Conv2d` forward (the BENCH_PR6
 //!                      workloads) instead of the SCC kernels
@@ -62,7 +62,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             other => {
                 return Err(format!(
                     "unknown flag '{other}' (flags: --threads N, --backend \
-                     <naive|blocked|tiled|swsum>, --dense, --samples N)"
+                     <naive|blocked|tiled>, --dense, --samples N)"
                 ))
             }
         }
@@ -121,7 +121,7 @@ fn print_pool_stats(cli: &Cli) {
 }
 
 /// Dense-conv probe: cache-free `Conv2d` forward medians on the BENCH_PR6
-/// workloads for the requested backends (all four when none are given), at
+/// workloads for the requested backends (all of them when none are given), at
 /// the current pool thread count.
 fn probe_dense(cli: &Cli) {
     let backends: Vec<BackendKind> = if cli.backends.is_empty() {

@@ -1,7 +1,7 @@
 //! Shared workload builders for the Criterion benchmark harness.
 //!
 //! Each bench file (`benches/*.rs`) maps to one or more tables/figures of the
-//! paper (see DESIGN.md §4); this library provides the common fixtures so the
+//! paper (PAPER.md); this library provides the common fixtures so the
 //! benches measure exactly the same kernels and shapes the experiments use.
 
 #![forbid(unsafe_code)]

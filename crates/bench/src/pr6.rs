@@ -2,10 +2,8 @@
 //!
 //! PR 6 brought the dense `Conv2d` layers onto the backend system: the
 //! `blocked`/`tiled` backends route im2col through a register-tiled
-//! (pool-scheduled) GEMM, and the new `swsum` backend runs the direct
-//! sliding-window-sum kernel with no im2col buffer at all. This module
-//! measures all four backends on two dense workloads and gates the two new
-//! paths against the historical one:
+//! (pool-scheduled) GEMM. This module measures every backend on two dense
+//! workloads and gates the pool-scheduled path against the historical one:
 //!
 //! * **`cifar`** ([`DENSE_CIFAR`]) — a CIFAR-scale 3×3 convolution on
 //!   16×16 planes, the shape the accuracy experiments train on.
@@ -26,16 +24,8 @@
 //!   at least matches it (`>= 1.0`) on `cifar` — short GEMMs leave less
 //!   room over the LLC-resident naive path, so `cifar` is a no-regression
 //!   floor rather than a speedup target.
-//! * `DSX_SWSUM_MIN_SPEEDUP` — floor for the sliding-window-sum forward
-//!   over the naive im2col forward at full thread count on the `large`
-//!   workload (default `1.0` whenever the dense gate is engaged: where the
-//!   im2col buffer is big, the kernel that skips it must not lose to the
-//!   one that pays for it). The `cifar` shape is intentionally not gated
-//!   for swsum — 16-wide rows amortise almost no per-tap setup, and the
-//!   measured rows in the JSON document exist precisely to keep that
-//!   trade-off visible.
 //!
-//! Both gates only engage on multi-core hosts
+//! The gate only engages on multi-core hosts
 //! (`available_parallelism() > 1`): on one core the pool runs inline and
 //! the ratios mostly measure noise, so single-core containers stay green
 //! by design.
@@ -220,14 +210,11 @@ pub fn render_json(report: &Pr6Report) -> String {
     out.push_str("  ],\n");
     let mut ratios = Vec::new();
     for shape in DENSE_WORKLOADS {
-        for backend in [BackendKind::Tiled, BackendKind::Swsum] {
-            ratios.push(format!(
-                "  \"{}_vs_naive_{}\": {}",
-                backend,
-                shape.label,
-                fmt_ratio(report.speedup_vs_naive(shape.label, backend)),
-            ));
-        }
+        ratios.push(format!(
+            "  \"tiled_vs_naive_{}\": {}",
+            shape.label,
+            fmt_ratio(report.speedup_vs_naive(shape.label, BackendKind::Tiled)),
+        ));
     }
     out.push_str(&ratios.join(",\n"));
     out.push_str("\n}\n");
@@ -252,9 +239,8 @@ fn env_gate(name: &str) -> Option<f64> {
 }
 
 /// Writes the JSON report, prints a human summary, and enforces the
-/// `DSX_DENSE_MIN_SPEEDUP` / `DSX_SWSUM_MIN_SPEEDUP` gates (multi-core
-/// hosts only). Exits the process with status 1 when a gate fails, so the
-/// CI perf job fails the build.
+/// `DSX_DENSE_MIN_SPEEDUP` gate (multi-core hosts only). Exits the process
+/// with status 1 when the gate fails, so the CI perf job fails the build.
 pub fn finish_report(report: &Pr6Report) {
     let json = render_json(report);
     let path = json_path();
@@ -273,10 +259,9 @@ pub fn finish_report(report: &Pr6Report) {
     }
     for shape in DENSE_WORKLOADS {
         println!(
-            "  {}: tiled {}x naive | swsum {}x naive (full threads)",
+            "  {}: tiled {}x naive (full threads)",
             shape.label,
             fmt_ratio(report.speedup_vs_naive(shape.label, BackendKind::Tiled)),
-            fmt_ratio(report.speedup_vs_naive(shape.label, BackendKind::Swsum)),
         );
     }
     println!("  wrote {}", path.display());
@@ -299,18 +284,6 @@ pub fn finish_report(report: &Pr6Report) {
                 }
                 println!("  dense gate passed on {label}: tiled {tiled:.2}x >= {floor:.2}x");
             }
-            let swsum_min = env_gate("DSX_SWSUM_MIN_SPEEDUP").unwrap_or(1.0);
-            let swsum = report
-                .speedup_vs_naive("large", BackendKind::Swsum)
-                .expect("swsum and naive were measured at full threads");
-            if swsum < swsum_min {
-                eprintln!(
-                    "DENSE GATE FAILED: sliding-window-sum forward is only {swsum:.2}x \
-                     the naive im2col path on the large workload (required {swsum_min:.2}x)"
-                );
-                std::process::exit(1);
-            }
-            println!("  dense gate passed on large: swsum {swsum:.2}x >= {swsum_min:.2}x");
         } else {
             println!("  dense gate skipped: single-core host (pool runs inline)");
         }
@@ -323,15 +296,14 @@ mod tests {
 
     fn fake_report() -> Pr6Report {
         let mut rows = Vec::new();
-        for (label, naive, tiled, swsum) in [
-            ("cifar", 4_000_000.0, 2_500_000.0, 3_000_000.0),
-            ("large", 40_000_000.0, 20_000_000.0, 25_000_000.0),
+        for (label, naive, tiled) in [
+            ("cifar", 4_000_000.0, 2_500_000.0),
+            ("large", 40_000_000.0, 20_000_000.0),
         ] {
             for (backend, ns) in [
                 (BackendKind::Naive, naive),
                 (BackendKind::Blocked, naive * 0.9),
                 (BackendKind::Tiled, tiled),
-                (BackendKind::Swsum, swsum),
             ] {
                 rows.push(DenseRow {
                     workload: label,
@@ -355,10 +327,6 @@ mod tests {
             report.speedup_vs_naive("large", BackendKind::Tiled),
             Some(2.0)
         );
-        assert_eq!(
-            report.speedup_vs_naive("large", BackendKind::Swsum),
-            Some(1.6)
-        );
         // Rows at the wrong thread count must not satisfy a lookup.
         assert_eq!(report.forward("large", BackendKind::Naive, 1), None);
     }
@@ -371,7 +339,6 @@ mod tests {
         };
         let json = render_json(&report);
         assert!(json.contains("\"tiled_vs_naive_large\": null"));
-        assert!(json.contains("\"swsum_vs_naive_cifar\": null"));
     }
 
     #[test]
@@ -379,8 +346,8 @@ mod tests {
         let json = render_json(&fake_report());
         assert!(json.contains("\"schema\": \"dsx-bench/pr6-dense-conv/1\""));
         assert!(json.contains("\"tiled_vs_naive_cifar\": 1.600"));
-        assert!(json.contains("\"swsum_vs_naive_large\": 1.600"));
-        assert_eq!(json.matches("forward_median_ns").count(), 8);
+        assert!(json.contains("\"tiled_vs_naive_large\": 2.000"));
+        assert_eq!(json.matches("forward_median_ns").count(), 6);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   heuristic so small planes don't over-decompose. Tuned for large
 //!   planes on multi-core hosts; bit-identical results at any thread
 //!   count.
-//! * [`SwsumBackend`] — the sliding-window-sum (conv-as-FIR) formulation.
-//!   Its payoff is on dense spatial convolutions, where `dsx-nn`'s
-//!   `Conv2d` routes the forward pass through a per-output-row FIR kernel
-//!   with no im2col buffer; the pointwise SCC kernels delegate to the
-//!   tiled schedule (see the module docs of `swsum`).
+//!
+//! The kind also picks `dsx-nn`'s dense `Conv2d` path: on `Blocked` and
+//! `Tiled`, depthwise inference runs the direct sliding-window-sum
+//! (conv-as-FIR) kernel `dsx_nn::swsum::conv2d_swsum`, with no im2col
+//! buffer; `Naive` keeps im2col everywhere as the oracle.
 //!
 //! Future SIMD-intrinsic or GPU-style backends slot under the same trait.
 //!
@@ -38,12 +38,10 @@
 
 mod blocked;
 mod naive;
-mod swsum;
 mod tiled;
 
 pub use blocked::{BlockedBackend, LANES, OC_BLOCK, TAP_BLOCK};
 pub use naive::NaiveBackend;
-pub use swsum::SwsumBackend;
 pub use tiled::{TiledBackend, TILE_F32};
 
 use crate::backward::SccGradients;
@@ -160,25 +158,16 @@ pub enum BackendKind {
     /// The blocked inner loops scheduled as cache-sized tiles across the
     /// persistent work-stealing pool (tuned for large planes).
     Tiled,
-    /// The sliding-window-sum (conv-as-FIR) formulation: dense `Conv2d`
-    /// layers skip im2col entirely (kernel in `dsx-nn`); the pointwise SCC
-    /// kernels delegate to the tiled schedule (see [`SwsumBackend`]).
-    Swsum,
 }
 
 static NAIVE: NaiveBackend = NaiveBackend;
 static BLOCKED: BlockedBackend = BlockedBackend;
 static TILED: TiledBackend = TiledBackend;
-static SWSUM: SwsumBackend = SwsumBackend;
 
 impl BackendKind {
     /// All backends, naive first (the oracle, and the historical default).
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Naive,
-        BackendKind::Blocked,
-        BackendKind::Tiled,
-        BackendKind::Swsum,
-    ];
+    pub const ALL: [BackendKind; 3] =
+        [BackendKind::Naive, BackendKind::Blocked, BackendKind::Tiled];
 
     /// Stable lower-case name, used by `--backend` flags and bench reports.
     pub fn name(&self) -> &'static str {
@@ -186,7 +175,6 @@ impl BackendKind {
             BackendKind::Naive => "naive",
             BackendKind::Blocked => "blocked",
             BackendKind::Tiled => "tiled",
-            BackendKind::Swsum => "swsum",
         }
     }
 
@@ -196,7 +184,6 @@ impl BackendKind {
             BackendKind::Naive => &NAIVE,
             BackendKind::Blocked => &BLOCKED,
             BackendKind::Tiled => &TILED,
-            BackendKind::Swsum => &SWSUM,
         }
     }
 }
@@ -213,11 +200,10 @@ impl FromStr for BackendKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(BackendKind::Naive),
-            "blocked" | "simd" => Ok(BackendKind::Blocked),
-            "tiled" | "pool" => Ok(BackendKind::Tiled),
-            "swsum" | "fir" => Ok(BackendKind::Swsum),
+            "blocked" => Ok(BackendKind::Blocked),
+            "tiled" => Ok(BackendKind::Tiled),
             other => Err(format!(
-                "unknown kernel backend '{other}' (expected one of: naive, blocked, tiled, swsum)"
+                "unknown kernel backend '{other}' (expected one of: naive, blocked, tiled)"
             )),
         }
     }
@@ -269,8 +255,14 @@ mod tests {
             assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
             assert_eq!(kind.backend().kind(), kind);
         }
-        assert_eq!("SIMD".parse::<BackendKind>().unwrap(), BackendKind::Blocked);
-        assert!("cuda".parse::<BackendKind>().is_err());
+        assert_eq!(
+            "Blocked".parse::<BackendKind>().unwrap(),
+            BackendKind::Blocked
+        );
+        // Only the printed names parse: the retired backend and aliases fail.
+        for retired in "swsum fir simd pool cuda".split_whitespace() {
+            assert!(retired.parse::<BackendKind>().is_err(), "{retired}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cross-backend parity property suite.
 //!
-//! Asserts `BlockedBackend`, `TiledBackend` and `SwsumBackend` match `NaiveBackend` *and*
+//! Asserts `BlockedBackend` and `TiledBackend` match `NaiveBackend` *and*
 //! the scalar reference within `TEST_TOLERANCE` (no tolerance widening)
 //! across `cg ∈ {1, 2, 4, 8}`, `co ∈ {0, 0.25, 0.33, 0.5, 0.75}`,
 //! non-square spatial dims, and plane sizes that do not divide the blocked
@@ -103,7 +103,7 @@ proptest! {
         let naive = forward_of(&case, BackendKind::Naive);
         let reference =
             scc_forward_reference(&case.cfg, &case.input, &case.weight, Some(&case.bias));
-        for kind in [BackendKind::Blocked, BackendKind::Tiled, BackendKind::Swsum] {
+        for kind in [BackendKind::Blocked, BackendKind::Tiled] {
             let got = forward_of(&case, kind);
             prop_assert!(
                 allclose(&got, &naive, TEST_TOLERANCE),
@@ -134,7 +134,7 @@ proptest! {
         let naive = backward_of(&case, BackendKind::Naive);
         let (ref_gi, ref_gw, ref_gb) =
             scc_backward_reference(&case.cfg, &case.input, &case.weight, &case.grad_output);
-        for kind in [BackendKind::Blocked, BackendKind::Tiled, BackendKind::Swsum] {
+        for kind in [BackendKind::Blocked, BackendKind::Tiled] {
             let got = backward_of(&case, kind);
             prop_assert!(allclose(&got.grad_input, &naive.grad_input, TEST_TOLERANCE), "{kind}");
             prop_assert!(allclose(&got.grad_weight, &naive.grad_weight, TEST_TOLERANCE), "{kind}");
@@ -176,7 +176,7 @@ fn parity_grid_over_cg_co_and_ragged_planes() {
                 let naive_b = BackendKind::Naive
                     .backend()
                     .backward(&cfg, &map, &input, &weight, &grad_out, None);
-                for kind in [BackendKind::Blocked, BackendKind::Tiled, BackendKind::Swsum] {
+                for kind in [BackendKind::Blocked, BackendKind::Tiled] {
                     let fwd = kind
                         .backend()
                         .forward(&cfg, &map, &input, &weight, None, None);

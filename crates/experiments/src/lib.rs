@@ -7,8 +7,8 @@
 //!
 //! Analytic columns (MFLOPs, parameters, cost-model runtimes) reproduce the
 //! paper's numbers directly; accuracy columns are measured by short training
-//! runs on the synthetic cross-channel datasets from `dsx-data` (see
-//! DESIGN.md §2 and EXPERIMENTS.md for the substitution rationale).
+//! runs on the synthetic cross-channel datasets from `dsx-data`, which stand
+//! in for the paper's CIFAR-10 and ImageNet (PAPER.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -132,7 +132,7 @@ pub fn measure_accuracy(kind: ModelKind, scheme: ConvScheme, cfg: &TrainConfig) 
     let mut spec = kind.spec(Dataset::Cifar10, scheme);
     // The flat sequential builder cannot materialise the ResNet projection
     // shortcuts (a parallel branch); the accuracy measurement trains the
-    // "plain" counterpart instead (documented in EXPERIMENTS.md).
+    // "plain" counterpart instead.
     spec.convs.retain(|c| !c.name.contains("downsample"));
     let spec = spec.scale_channels(cfg.channel_scale);
     let mut model = dsx_models::build_model(&spec, cfg.seed);

@@ -2,7 +2,7 @@
 //! figure of the DSXplore paper.
 //!
 //! ```text
-//! dsx-experiments <command> [--train] [--backend <naive|blocked|tiled|swsum>]
+//! dsx-experiments <command> [--train] [--backend <naive|blocked|tiled>]
 //!                 [--save PATH] [--trace-out PATH]
 //!
 //! Commands:
@@ -22,8 +22,9 @@
 //!
 //! `--backend` selects the SCC kernel execution backend for everything that
 //! runs real CPU kernels (the training runs and the atomics study): it sets
-//! the process-default backend before any layer is constructed. Analytic
-//! columns are backend-independent.
+//! the process-default backend before any layer is constructed. On `blocked`
+//! and `tiled`, depthwise inference runs the direct sliding-window-sum
+//! kernel; `naive` is the oracle. Analytic columns are backend-independent.
 
 use dsx_experiments::*;
 
@@ -278,7 +279,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             command.get_or_insert_with(|| arg.clone());
         } else {
             return Err(format!(
-                "unknown flag '{arg}' (flags: --train, --backend <naive|blocked|tiled|swsum>, --save PATH, --trace-out PATH)"
+                "unknown flag '{arg}' (flags: --train, --backend <naive|blocked|tiled>, --save PATH, --trace-out PATH; \
+                 on blocked and tiled, depthwise inference runs the direct sliding-window kernel)"
             ));
         }
     }

@@ -442,8 +442,8 @@ mod tests {
         // Table V: DSXplore inference latency stays within a small factor of
         // the cuDNN-backed DW+GPW across batch sizes (the paper measures
         // 0.75x-1.6x; our conservative custom-kernel efficiency places it
-        // within one order of magnitude — see EXPERIMENTS.md for the noted
-        // deviation at small batches).
+        // within one order of magnitude, with a noted deviation at small
+        // batches).
         let gpw = mobilenet(Dataset::Cifar10, ConvScheme::DwGpw { cg: 2 });
         let scc = mobilenet(Dataset::Cifar10, ConvScheme::DwScc { cg: 2, co: 0.5 });
         let mut ratios = Vec::new();

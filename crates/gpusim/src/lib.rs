@@ -7,8 +7,8 @@
 //! [`dsx_models::ModelSpec`]s and converts them into estimated execution
 //! times through a roofline-plus-overheads decomposition ([`cost`]),
 //! whole-model training/inference estimates ([`e2e`]) and a data-parallel
-//! scaling model ([`multi_gpu`]). See DESIGN.md §2 for why this substitution
-//! preserves the paper's qualitative results.
+//! scaling model ([`multi_gpu`]). The model stands in for the paper's V100
+//! measurements (PAPER.md); it is not a measurement of this machine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,9 +6,8 @@
 //! feature-map size shrinks without a stride, and a global-average-pool +
 //! linear classifier closes the model. Residual connections are not
 //! materialised (the spec is a flat list); for the laptop-scale accuracy
-//! experiments this changes ResNet into its "plain" counterpart, which is
-//! documented in EXPERIMENTS.md and does not affect the FLOP/parameter
-//! accounting.
+//! experiments this changes ResNet into its "plain" counterpart, which does
+//! not affect the FLOP/parameter accounting.
 
 use crate::spec::{ConvKind, ModelSpec};
 use dsx_core::{BackendKind, SccConfig, SccImplementation};
@@ -215,11 +214,7 @@ mod tests {
             dsx_core::BackendKind::Naive,
         );
         let expected = naive.forward(&input, false);
-        for backend in [
-            dsx_core::BackendKind::Blocked,
-            dsx_core::BackendKind::Tiled,
-            dsx_core::BackendKind::Swsum,
-        ] {
+        for backend in [dsx_core::BackendKind::Blocked, dsx_core::BackendKind::Tiled] {
             let mut model =
                 build_model_with_backend(&spec, 7, SccImplementation::Dsxplore, backend);
             let out = model.forward(&input, false);

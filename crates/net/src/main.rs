@@ -2,7 +2,7 @@
 //! PR-3 behaviour), a TCP server mode, and a network load-generator mode.
 //!
 //! ```text
-//! dsx-serve [--requests N] [--concurrency N] [--backend <naive|blocked|tiled|swsum>]
+//! dsx-serve [--requests N] [--concurrency N] [--backend <naive|blocked|tiled>]
 //!           [--max-batch N] [--workers N]
 //!           [--queue-capacity N] [--par-threads N] [--skip-serial]
 //!           [--model PATH]
@@ -51,6 +51,10 @@
 //! seconds: the process-global `dsx-obs` metrics registry (pool, GEMM and
 //! wire counters) merged with the live serving stats when an engine runs in
 //! this process. It needs a local engine, so it conflicts with `--connect`.
+//!
+//! `--backend` picks the kernels every layer is built with (default
+//! `blocked`): `naive` is the oracle, and on `blocked` and `tiled`
+//! depthwise inference runs the direct sliding-window-sum kernel.
 //!
 //! Every flag is parsed (and validated) *before* the model is built: the
 //! kernel backend is a process-wide construction-time default in
@@ -141,11 +145,12 @@ impl Default for Cli {
 }
 
 const USAGE: &str = "usage: dsx-serve [--requests N] [--concurrency N] \
-[--backend <naive|blocked|tiled|swsum>] [--max-batch N] [--workers N] \
+[--backend <naive|blocked|tiled>] [--max-batch N] [--workers N] \
 [--queue-capacity N] [--par-threads N] [--skip-serial] [--model PATH] \
 [--trace-out PATH] [--stats-every S] \
 [--listen IP:PORT [--serve-secs S] [--max-conns N] [--idle-secs S] [--max-inflight N]] | \
-[--connect IP:PORT [--deadline-us N] [--retries N]]";
+[--connect IP:PORT [--deadline-us N] [--retries N]]
+(on blocked and tiled, depthwise inference runs the direct sliding-window kernel)";
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli::default();

@@ -8,7 +8,8 @@
 //!
 //! Knobs (CI sets both):
 //! * `DSX_CHAOS_BACKEND` — kernel backend for the served model
-//!   (`naive|blocked|tiled|swsum`, default `blocked`);
+//!   (`naive|blocked|tiled`, default `blocked`; on `blocked` and `tiled`
+//!   depthwise inference runs the direct sliding-window-sum kernel);
 //! * `DSX_CHAOS_SEED` — fault-plan seed (default 42). A failing seed
 //!   replays bit-identically: the plan is a pure function of the seed.
 

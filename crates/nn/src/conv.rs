@@ -15,8 +15,10 @@
 //! | `naive`   | im2col + the historical size-picked GEMM                   |
 //! | `blocked` | im2col + the register-tiled GEMM, single caller thread     |
 //! | `tiled`   | im2col + the register-tiled GEMM scheduled on the pool     |
-//! | `swsum`   | direct sliding-window-sum kernel ([`crate::swsum`]), no    |
-//! |           | im2col on the inference path; pooled GEMM when training    |
+//!
+//! Depthwise inference (`groups == cin`, no cache) on `blocked` and `tiled`
+//! skips im2col: it runs the direct sliding-window-sum kernel
+//! ([`crate::swsum`]). `naive` keeps im2col there too, as the oracle.
 
 use crate::layer::Layer;
 use dsx_core::{default_backend, BackendKind};
@@ -162,14 +164,12 @@ impl Conv2d {
     /// The GEMM kernel backing this layer's im2col path. `Naive` keeps the
     /// historical size-picked kernel (the perf-gate baseline); `Blocked`
     /// upgrades to the register-tiled kernel on the caller thread; `Tiled`
-    /// and `Swsum` schedule register-tiled strips on the worker pool
-    /// (`Swsum` only reaches a GEMM on the training path, where backward
-    /// needs the cached im2col matrices).
+    /// schedules register-tiled strips on the worker pool.
     fn gemm_kernel(&self) -> GemmKernel {
         match self.backend {
             BackendKind::Naive => GemmKernel::Auto,
             BackendKind::Blocked => GemmKernel::RegTiled,
-            BackendKind::Tiled | BackendKind::Swsum => GemmKernel::Pooled,
+            BackendKind::Tiled => GemmKernel::Pooled,
         }
     }
 
@@ -186,10 +186,10 @@ impl Conv2d {
     fn run_forward(&self, input: &Tensor, mut cache: Option<&mut Vec<Tensor>>) -> Tensor {
         assert_eq!(input.rank(), 4, "Conv2d expects NCHW input");
         assert_eq!(input.dim(1), self.cin, "Conv2d channel mismatch");
-        // The sliding-window-sum backend computes outputs directly from the
-        // input (no im2col), so it can only serve the cache-free path —
-        // backward needs the lowered matrices and keeps the GEMM route.
-        if cache.is_none() && self.backend == BackendKind::Swsum {
+        // Depthwise inference runs the direct sliding-window-sum kernel (no
+        // im2col) on every backend but the `Naive` oracle. Training keeps the
+        // GEMM route: backward needs the lowered matrices.
+        if cache.is_none() && self.groups == self.cin && self.backend != BackendKind::Naive {
             return crate::swsum::conv2d_swsum(
                 input,
                 &self.weight,

@@ -11,8 +11,8 @@
 //!   convolutions lowered to GEMM via im2col (the "library-backed" operators
 //!   the paper's baselines rely on), backend-selectable like the SCC layer:
 //!   the `blocked`/`tiled` backends run a register-tiled (pool-scheduled)
-//!   GEMM, and the `swsum` backend runs [`swsum::conv2d_swsum`] — a direct
-//!   sliding-window-sum (conv-as-FIR) kernel with no im2col buffer;
+//!   GEMM, and their depthwise inference runs [`swsum::conv2d_swsum`] — a
+//!   direct sliding-window-sum (conv-as-FIR) kernel with no im2col buffer;
 //! * [`scc_layer::SccConv2d`] — the sliding-channel convolution from
 //!   `dsx-core`, usable as a drop-in replacement for the pointwise stage;
 //! * [`blocks`] — factory functions for standard and depthwise-separable

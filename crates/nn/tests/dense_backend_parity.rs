@@ -2,12 +2,13 @@
 //!
 //! Mirrors `dsx-core`'s `backend_parity` suite on the dense side: every
 //! backend (naive im2col GEMM, register-tiled GEMM, pool-scheduled GEMM,
-//! sliding-window-sum) must match the direct scalar reference within
+//! and the sliding-window-sum kernel that runs depthwise inference on the
+//! latter two) must match the direct scalar reference within
 //! `TEST_TOLERANCE` — no tolerance widening — across kernel sizes, strides,
 //! paddings, group counts, non-square spatial dims, and plane widths that
 //! do not divide the GEMM vector width. Plus bit-determinism checks: the
-//! two pool-scheduled paths (tiled GEMM, swsum FIR) must produce identical
-//! bits at 1 and N pool threads.
+//! pool-scheduled paths (tiled GEMM, depthwise sliding-window sum) must
+//! produce identical bits at 1 and N pool threads.
 
 use dsx_core::BackendKind;
 use dsx_nn::conv::{conv2d_reference, Conv2d};
@@ -109,7 +110,7 @@ proptest! {
             (grad_input, grads)
         };
         let (naive_gi, naive_grads) = run(BackendKind::Naive);
-        for backend in [BackendKind::Blocked, BackendKind::Tiled, BackendKind::Swsum] {
+        for backend in [BackendKind::Blocked, BackendKind::Tiled] {
             let (gi, grads) = run(backend);
             prop_assert!(
                 allclose(&gi, &naive_gi, TEST_TOLERANCE),
@@ -131,20 +132,34 @@ proptest! {
 #[test]
 fn parity_grid_over_ragged_planes() {
     let spatial = [(1usize, 1usize), (1, 7), (2, 8), (3, 9), (5, 7), (4, 16)];
-    for (kernel, stride, pad) in [(1usize, 1usize, 0usize), (3, 1, 1), (3, 2, 1), (2, 2, 0)] {
+    // (batch, cout, groups, kernel, stride, pad) over 4 input channels: a
+    // grouped layer, then depthwise layers (`groups == cin`), whose
+    // inference runs the direct sliding-window-sum kernel.
+    let layers = [
+        (2usize, 6usize, 2usize, 1usize, 1usize, 0usize),
+        (2, 6, 2, 3, 1, 1),
+        (2, 6, 2, 3, 2, 1),
+        (2, 6, 2, 2, 2, 0),
+        (1, 4, 4, 3, 1, 1),
+        (1, 4, 4, 3, 2, 1),
+        (2, 4, 4, 3, 1, 1),
+        (2, 4, 4, 3, 2, 1),
+    ];
+    for (n, cout, groups, kernel, stride, pad) in layers {
         for (h, w) in spatial {
             if h + 2 * pad < kernel || w + 2 * pad < kernel {
                 continue;
             }
-            let input = Tensor::randn(&[2, 4, h, w], 83);
-            let oracle = conv_for(BackendKind::Naive, 4, 6, kernel, stride, pad, 2, 84);
-            let want = conv2d_reference(&input, oracle.weight(), oracle.bias(), stride, pad, 2);
+            let input = Tensor::randn(&[n, 4, h, w], 83);
+            let oracle = conv_for(BackendKind::Naive, 4, cout, kernel, stride, pad, groups, 84);
+            let want =
+                conv2d_reference(&input, oracle.weight(), oracle.bias(), stride, pad, groups);
             for backend in BackendKind::ALL {
-                let conv = conv_for(backend, 4, 6, kernel, stride, pad, 2, 84);
+                let conv = conv_for(backend, 4, cout, kernel, stride, pad, groups, 84);
                 let got = conv.infer(&input);
                 assert!(
                     allclose(&got, &want, TEST_TOLERANCE),
-                    "{backend} parity fails for k{kernel} s{stride} p{pad} {h}x{w}"
+                    "{backend} parity fails for n{n} g{groups} k{kernel} s{stride} p{pad} {h}x{w}"
                 );
             }
         }
@@ -152,14 +167,15 @@ fn parity_grid_over_ragged_planes() {
 }
 
 /// Same seed, 1 pool thread vs N pool threads: both pool-scheduled dense
-/// paths — the tiled (pooled-GEMM) backend's train forward + backward and
-/// the swsum FIR forward — must be bit-identical, not merely within
+/// paths on the tiled backend — a grouped layer's pooled GEMM (train
+/// forward + backward + infer) and a depthwise layer, whose infer runs the
+/// sliding-window-sum kernel — must be bit-identical, not merely within
 /// tolerance. 64×64 planes give the schedulers real strips to carve.
 #[test]
 fn pooled_dense_paths_are_bit_identical_across_thread_counts() {
     let input = Tensor::randn(&[2, 8, 64, 64], 95);
-    let run_backend = |backend: BackendKind| {
-        let mut conv = conv_for(backend, 8, 12, 3, 1, 1, 2, 96);
+    let run_layer = |cout: usize, groups: usize| {
+        let mut conv = conv_for(BackendKind::Tiled, 8, cout, 3, 1, 1, groups, 96);
         let fwd = conv.forward(&input, true);
         let gi = conv.backward(&Tensor::randn(fwd.shape(), 97));
         let eval = conv.infer(&input);
@@ -167,32 +183,32 @@ fn pooled_dense_paths_are_bit_identical_across_thread_counts() {
         conv.visit_params(&mut |_, grad| grads.push(grad.clone()));
         (fwd, gi, eval, grads)
     };
-    for backend in [BackendKind::Tiled, BackendKind::Swsum] {
+    for (cout, groups) in [(12, 2), (8, 8)] {
         dsx_tensor::set_num_threads(1);
-        let (fwd_1, gi_1, eval_1, grads_1) = run_backend(backend);
+        let (fwd_1, gi_1, eval_1, grads_1) = run_layer(cout, groups);
         dsx_tensor::set_num_threads(4);
-        let (fwd_n, gi_n, eval_n, grads_n) = run_backend(backend);
+        let (fwd_n, gi_n, eval_n, grads_n) = run_layer(cout, groups);
         dsx_tensor::set_num_threads(0);
         assert_eq!(
             fwd_1.as_slice(),
             fwd_n.as_slice(),
-            "{backend} train forward must be bit-identical at 1 vs 4 threads"
+            "g{groups} train forward must be bit-identical at 1 vs 4 threads"
         );
         assert_eq!(
             eval_1.as_slice(),
             eval_n.as_slice(),
-            "{backend} infer must be bit-identical at 1 vs 4 threads"
+            "g{groups} infer must be bit-identical at 1 vs 4 threads"
         );
         assert_eq!(
             gi_1.as_slice(),
             gi_n.as_slice(),
-            "{backend} grad_input must be bit-identical at 1 vs 4 threads"
+            "g{groups} grad_input must be bit-identical at 1 vs 4 threads"
         );
         for (g1, gn) in grads_1.iter().zip(&grads_n) {
             assert_eq!(
                 g1.as_slice(),
                 gn.as_slice(),
-                "{backend} param grads must be bit-identical at 1 vs 4 threads"
+                "g{groups} param grads must be bit-identical at 1 vs 4 threads"
             );
         }
     }
@@ -203,7 +219,7 @@ fn pooled_dense_paths_are_bit_identical_across_thread_counts() {
 /// 3-tap fast path.
 #[test]
 fn standalone_swsum_kernel_matches_reference_on_strided_groups() {
-    let conv = conv_for(BackendKind::Swsum, 6, 9, 3, 2, 1, 3, 99);
+    let conv = conv_for(BackendKind::Blocked, 6, 9, 3, 2, 1, 3, 99);
     let input = Tensor::randn(&[2, 6, 11, 9], 100);
     let got = conv2d_swsum(&input, conv.weight(), conv.bias(), 2, 1, 3);
     let want = conv2d_reference(&input, conv.weight(), conv.bias(), 2, 1, 3);

@@ -110,7 +110,7 @@ fn scc_implementations_agree_inside_a_full_model() {
 fn model_spec_costs_agree_with_built_networks_across_models() {
     pin_single_thread();
     // ResNet is excluded: its projection shortcuts form a parallel branch the
-    // flat sequential builder does not materialise (see EXPERIMENTS.md).
+    // flat sequential builder does not materialise.
     for kind in [ModelKind::Vgg16, ModelKind::MobileNet] {
         let spec = kind
             .spec(Dataset::Cifar10, ConvScheme::DSXPLORE_DEFAULT)
