@@ -1,6 +1,6 @@
 //! Register-blocked, autovectorizable SCC kernels.
 //!
-//! Three ideas, all safe Rust (no `unsafe`, no intrinsics, no nightly):
+//! Four ideas, all safe Rust (no `unsafe`, no intrinsics, no nightly):
 //!
 //! 1. **Spatial tiling** — the output plane is processed in [`LANES`]-wide
 //!    strips held in fixed-size `[f32; LANES]` accumulator arrays. The inner
@@ -16,7 +16,8 @@
 //!    `OC_BLOCK` independent accumulator rows, cutting input traffic by
 //!    that factor. On the default CIFAR-scale bench workload
 //!    (`cin=64, cg=2, co=0.5, cout=128`) 32 output channels share each
-//!    window.
+//!    window. Each weight is stored once, as a scalar, and splat across
+//!    the lanes in the register.
 //! 3. **Tap blocking in the weight gradient** — the `grad_output` strip is
 //!    loaded once per [`TAP_BLOCK`] window taps rather than once per tap.
 //! 4. **Channel-major small planes** — a plane of at most 16 pixels (the
@@ -27,14 +28,21 @@
 //!    reads the same input scalar, so each tap is one contiguous load from
 //!    the input's own channel plane, broadcast per column, and one
 //!    multiply-add per column; weights are packed one 8-channel block at a
-//!    time (`[tap][LANES]`, each weight once per call), not as
-//!    lane-broadcast tables.
+//!    time (`[tap][LANES]`, each weight once per call).
 //!
 //! In the pixel-lane kernels a scalar tail handles plane sizes that do not
 //! divide [`LANES`], so any spatial shape is supported; the cross-backend
 //! proptest suite exercises exactly those ragged cases. The tail adds the
 //! bias first, the vector strips and the small-plane path add it last, so
 //! tail pixels can differ from the other paths by an ulp.
+//!
+//! The register tiles are sized for the 16 SIMD registers of baseline
+//! x86-64, where one `[f32; LANES]` row takes two XMM registers. The
+//! forward bodies run through [`dsx_tensor::isa::wide`], so on a host with
+//! AVX2 each row is one YMM register; the tile shapes have not been retuned
+//! for 16 YMM registers yet. The gradient kernels stay on the baseline
+//! copy: compiled for AVX2 they measured slower or mixed (see their call
+//! sites).
 
 use super::{record_forward_stats, BackendKind, KernelBackend};
 use crate::backward::naive_grad_bias;
@@ -51,6 +59,8 @@ pub const LANES: usize = 8;
 /// How many output channels sharing an input-channel window are accumulated
 /// per forward pass. Sized so the `OC_BLOCK * LANES`-float accumulator tile
 /// plus one input tile still fits the 16 SIMD registers of baseline x86-64.
+/// On AVX2 each `[f32; LANES]` row is one YMM register, so the tile uses
+/// less than half of them; retuning for 16 YMM registers is deferred.
 pub const OC_BLOCK: usize = 6;
 
 /// How many window taps share one `grad_output` strip in the weight-gradient
@@ -64,7 +74,9 @@ pub(super) const SMALL_PLANE_MAX: usize = 16;
 
 /// Pixels of one image per small-plane register tile: `COL_BLOCK`
 /// accumulator rows of `[f32; LANES]`, one weight row and the broadcast
-/// pixel fit the 16 SIMD registers of baseline x86-64 without spills.
+/// pixel fit the 16 SIMD registers of baseline x86-64 without spills. On
+/// AVX2 each row is one YMM register; retuning for 16 YMM registers is
+/// deferred.
 const COL_BLOCK: usize = 4;
 
 /// The register-blocked execution substrate.
@@ -111,6 +123,8 @@ impl KernelBackend for BlockedBackend {
         let w_data = weight.as_slice();
 
         let mut grad_input = Tensor::zeros(&[n, cin, h, w]);
+        // Not in `isa::wide`: an AVX2 build of this body measured faster on
+        // some layer shapes and slower on others.
         par::parallel_for_each_chunk_mut(
             grad_input.as_mut_slice(),
             plane,
@@ -142,6 +156,7 @@ impl KernelBackend for BlockedBackend {
         // Grain 1: each gw-element row reduces over every image's whole
         // plane, so the length-proportional claim heuristic would batch
         // (or inline) rows that should spread across the pool.
+        // Not in `isa::wide`: an AVX2 build of this body measured about 2x slower.
         par::parallel_for_each_chunk_mut_with_grain(
             grad_weight.as_mut_slice(),
             gw,
@@ -181,8 +196,8 @@ fn forward_pixel_lanes(
     let w_data = weight.as_slice();
     let b_data = bias.map(|b| b.as_slice());
 
-    // Per-window tap offsets and pre-broadcast weight tables, resolved
-    // once per call and reused by every image that reads the window.
+    // Per-window tap offsets and weight tables, resolved once per call and
+    // reused by every image that reads the window.
     let window_bases = build_window_bases(map, cd, plane);
     let window_tables = build_all_window_tables(cd, cout, w_data, b_data, gw);
 
@@ -199,16 +214,21 @@ fn forward_pixel_lanes(
             img * cd + oc % cd
         },
         |group_idx, planes| {
-            let img = group_idx / cd;
-            let window = group_idx % cd;
-            let image = &in_data[img * cin * plane..(img + 1) * cin * plane];
-            forward_blocks(
-                planes,
-                0,
-                &window_bases[window],
-                image,
-                &window_tables[window],
-            );
+            dsx_tensor::isa::wide(
+                #[inline(always)]
+                || {
+                    let img = group_idx / cd;
+                    let window = group_idx % cd;
+                    let image = &in_data[img * cin * plane..(img + 1) * cin * plane];
+                    forward_blocks(
+                        planes,
+                        0,
+                        &window_bases[window],
+                        image,
+                        &window_tables[window],
+                    );
+                },
+            )
         },
     );
     output
@@ -223,17 +243,19 @@ fn forward_pixel_lanes(
 /// passes whole planes (`t0 = 0`); the tiled backend passes cache-sized
 /// row strips.
 ///
-/// `wtab`/`biases` come pre-broadcast from [`build_window_tables`]
-/// (`wtab[j * OCB + b] = splat(weight[oc_b][j])`), so the hot loop is pure
-/// loads + mul/add on fixed-width arrays — no scalar broadcasts, no index
-/// arithmetic beyond `base + t0 + t`, and the only branches are the
-/// (predictable) slice checks.
+/// `wtab`/`biases` come from [`build_window_tables`]
+/// (`wtab[j * OCB + b] = weight[oc_b][j]`): one scalar per weight, splat
+/// across the lanes in the register, so the hot loop is loads + broadcast +
+/// mul/add on fixed-width arrays, with no index arithmetic beyond
+/// `base + t0 + t`, and the only branches are the (predictable) slice
+/// checks.
+#[inline(always)]
 pub(super) fn forward_block<const OCB: usize>(
     block: &mut [(usize, &mut [f32])],
     t0: usize,
     bases: &[usize],
     image: &[f32],
-    wtab: &[[f32; LANES]],
+    wtab: &[f32],
     biases: &[f32],
 ) {
     debug_assert_eq!(block.len(), OCB);
@@ -255,7 +277,7 @@ pub(super) fn forward_block<const OCB: usize>(
                 let w = wv[b];
                 let row = &mut acc[b];
                 for l in 0..LANES {
-                    row[l] += w[l] * x[l];
+                    row[l] += w * x[l];
                 }
             }
         }
@@ -272,7 +294,7 @@ pub(super) fn forward_block<const OCB: usize>(
         for (b, (_, out_strip)) in block.iter_mut().enumerate() {
             let mut acc = biases[b];
             for (&base, wv) in bases.iter().zip(wtab.chunks_exact(OCB)) {
-                acc += wv[b][0] * image[base + t0 + t];
+                acc += wv[b] * image[base + t0 + t];
             }
             out_strip[t] = acc;
         }
@@ -280,11 +302,10 @@ pub(super) fn forward_block<const OCB: usize>(
     }
 }
 
-/// Pre-broadcast forward tables for one cyclic window: for each
-/// [`OC_BLOCK`]-sized chunk of the window's output channels (in ascending
-/// `oc` order, matching the chunk order both backends hand to
-/// [`forward_blocks`]), the splat weight table
-/// (`wtab[j * len + b] = [weight[oc_b][j]; LANES]`) and bias row. Built
+/// Forward tables for one cyclic window: for each [`OC_BLOCK`]-sized chunk
+/// of the window's output channels (in ascending `oc` order, matching the
+/// chunk order both backends hand to [`forward_blocks`]), the tap-major
+/// weight table (`wtab[j * len + b] = weight[oc_b][j]`) and bias row. Built
 /// once per forward call and reused across every image (blocked backend)
 /// and every row strip (tiled backend) that reads the window.
 pub(super) struct WindowTables {
@@ -292,7 +313,7 @@ pub(super) struct WindowTables {
 }
 
 struct WindowBlock {
-    wtab: Vec<[f32; LANES]>,
+    wtab: Vec<f32>,
     biases: [f32; OC_BLOCK],
     len: usize,
 }
@@ -308,12 +329,12 @@ pub(super) fn build_window_tables(
         .chunks(OC_BLOCK)
         .map(|chunk| {
             let len = chunk.len();
-            let mut wtab = vec![[0.0f32; LANES]; gw * len];
+            let mut wtab = vec![0.0f32; gw * len];
             let mut biases = [0.0f32; OC_BLOCK];
             for (b, &oc) in chunk.iter().enumerate() {
                 biases[b] = b_data.map(|bd| bd[oc]).unwrap_or(0.0);
                 for j in 0..gw {
-                    wtab[j * len + b] = [w_data[oc * gw + j]; LANES];
+                    wtab[j * len + b] = w_data[oc * gw + j];
                 }
             }
             WindowBlock { wtab, biases, len }
@@ -363,6 +384,7 @@ pub(super) fn build_window_bases(
 /// output channels in the same ascending order `tables` was built from.
 /// Shared by the blocked backend (whole planes, `t0 = 0`) and the tiled
 /// backend (row strips at arbitrary `t0`).
+#[inline(always)]
 pub(super) fn forward_blocks(
     strips: &mut [(usize, &mut [f32])],
     t0: usize,
@@ -429,40 +451,45 @@ pub(super) fn forward_small_plane(
         cd,
         |chunk_idx| (chunk_idx % cout) % cd,
         |window, planes| {
-            // `planes` is image-major, output channels ascending within an
-            // image: entry `img * per_image + i` is channel `window + i * cd`.
-            let ocs: Vec<usize> = (window..cout).step_by(cd).collect();
-            debug_assert_eq!(planes.len(), n * ocs.len());
-            let bases: Vec<usize> = map.windows()[window]
-                .channels()
-                .iter()
-                .map(|ic| ic * plane)
-                .collect();
-            let mut wblk = vec![[0.0f32; LANES]; gw];
-            for (b, chunk) in ocs.chunks(LANES).enumerate() {
-                let bias = pack_block(&mut wblk, chunk, w_data, b_data);
-                for img in 0..n {
-                    let tile = SmallPlaneTile {
-                        image: &in_data[img * cin * plane..(img + 1) * cin * plane],
-                        bases: &bases,
-                        wblk: &wblk,
-                        bias: &bias,
-                    };
-                    let first = img * ocs.len() + b * LANES;
-                    let outs = &mut planes[first..first + chunk.len()];
-                    let mut p = 0usize;
-                    while p < plane {
-                        let take = (plane - p).min(COL_BLOCK);
-                        match take {
-                            4 => tile.run::<4>(outs, p),
-                            3 => tile.run::<3>(outs, p),
-                            2 => tile.run::<2>(outs, p),
-                            _ => tile.run::<1>(outs, p),
+            dsx_tensor::isa::wide(
+                #[inline(always)]
+                || {
+                    // `planes` is image-major, output channels ascending within an
+                    // image: entry `img * per_image + i` is channel `window + i * cd`.
+                    let ocs: Vec<usize> = (window..cout).step_by(cd).collect();
+                    debug_assert_eq!(planes.len(), n * ocs.len());
+                    let bases: Vec<usize> = map.windows()[window]
+                        .channels()
+                        .iter()
+                        .map(|ic| ic * plane)
+                        .collect();
+                    let mut wblk = vec![[0.0f32; LANES]; gw];
+                    for (b, chunk) in ocs.chunks(LANES).enumerate() {
+                        let bias = pack_block(&mut wblk, chunk, w_data, b_data);
+                        for img in 0..n {
+                            let tile = SmallPlaneTile {
+                                image: &in_data[img * cin * plane..(img + 1) * cin * plane],
+                                bases: &bases,
+                                wblk: &wblk,
+                                bias: &bias,
+                            };
+                            let first = img * ocs.len() + b * LANES;
+                            let outs = &mut planes[first..first + chunk.len()];
+                            let mut p = 0usize;
+                            while p < plane {
+                                let take = (plane - p).min(COL_BLOCK);
+                                match take {
+                                    4 => tile.run::<4>(outs, p),
+                                    3 => tile.run::<3>(outs, p),
+                                    2 => tile.run::<2>(outs, p),
+                                    _ => tile.run::<1>(outs, p),
+                                }
+                                p += take;
+                            }
                         }
-                        p += take;
                     }
-                }
-            }
+                },
+            )
         },
     );
     output
@@ -473,6 +500,7 @@ pub(super) fn forward_small_plane(
 /// `ocs[l]`, and returns their biases. Lanes past the end of `ocs` are
 /// zero. Each weight is packed once per forward call, into a buffer of one
 /// block's size.
+#[inline(always)]
 fn pack_block(
     wblk: &mut [[f32; LANES]],
     ocs: &[usize],
@@ -516,6 +544,7 @@ impl SmallPlaneTile<'_> {
     /// to `outs`, the image's output planes of those channels (one per
     /// lane that exists). The `NC` pixels of a tap are one contiguous load
     /// from the tap's channel plane, broadcast across the lanes.
+    #[inline(always)]
     fn run<const NC: usize>(&self, outs: &mut [(usize, &mut [f32])], p0: usize) {
         let mut acc = [[0.0f32; LANES]; NC];
         for (&base, wv) in self.bases.iter().zip(self.wblk) {

@@ -52,9 +52,8 @@ use dsx_tensor::{par, Tensor};
 /// Target `f32` elements per output row strip: 8 KiB, so an
 /// `OC_BLOCK`-deep forward block holds ~48 KiB of output strips plus one
 /// streamed input tile — a comfortable per-core L2 footprint, while the
-/// per-strip setup (weight broadcast tables, block dispatch) amortises
-/// over a strip twice as long as the L1-sized alternative measured ~5%
-/// slower at one thread.
+/// per-strip setup (block dispatch) amortises over a strip twice as long
+/// as the L1-sized alternative measured ~5% slower at one thread.
 pub const TILE_F32: usize = 2048;
 
 /// Pool-claim work target in output elements: tasks are batched per claim
@@ -140,9 +139,8 @@ impl KernelBackend for TiledBackend {
                 }
             }
         }
-        // Per-window tap offsets and pre-broadcast weight tables, resolved
-        // once per call and reused by every (image, strip) task reading the
-        // window.
+        // Per-window tap offsets and weight tables, resolved once per call
+        // and reused by every (image, strip) task reading the window.
         let window_bases = build_window_bases(map, cd, plane);
         let window_tables = build_all_window_tables(cd, cout, w_data, b_data, gw);
         let planes_per_window = cout.div_ceil(cd);
@@ -152,21 +150,26 @@ impl KernelBackend for TiledBackend {
             &groups,
             grain,
             |group_idx, tiles| {
-                if tiles.is_empty() {
-                    return;
-                }
-                let img = group_idx / (cd * n_strips);
-                let window_idx = (group_idx / n_strips) % cd;
-                let t0 = tiles[0].0 % plane;
-                let bases = &window_bases[window_idx];
-                let image = &in_data[img * cin * plane..(img + 1) * cin * plane];
-                // Recover each tile's output channel from its offset and
-                // hand the strips to the blocked register-tiled inner loop.
-                let mut strips: Vec<(usize, &mut [f32])> = tiles
-                    .iter_mut()
-                    .map(|(offset, strip)| ((*offset / plane) % cout, &mut **strip))
-                    .collect();
-                forward_blocks(&mut strips, t0, bases, image, &window_tables[window_idx]);
+                dsx_tensor::isa::wide(
+                    #[inline(always)]
+                    || {
+                        if tiles.is_empty() {
+                            return;
+                        }
+                        let img = group_idx / (cd * n_strips);
+                        let window_idx = (group_idx / n_strips) % cd;
+                        let t0 = tiles[0].0 % plane;
+                        let bases = &window_bases[window_idx];
+                        let image = &in_data[img * cin * plane..(img + 1) * cin * plane];
+                        // Recover each tile's output channel from its offset and
+                        // hand the strips to the blocked register-tiled inner loop.
+                        let mut strips: Vec<(usize, &mut [f32])> = tiles
+                            .iter_mut()
+                            .map(|(offset, strip)| ((*offset / plane) % cout, &mut **strip))
+                            .collect();
+                        forward_blocks(&mut strips, t0, bases, image, &window_tables[window_idx]);
+                    },
+                )
             },
         );
 

@@ -74,7 +74,11 @@ fn print_series(title: &str, rows: &[SeriesPoint], x_label: &str, y_label: &str)
 
 fn print_fusion_cost(rows: &[FusionCostRow]) {
     let batch = rows.first().map_or(0, |r| r.batch);
-    println!("\n=== Fusion-layer cost: MobileNet-CIFAR, batch {batch}, one thread, best of 5 ===");
+    // The ISA names which copy of the dispatched kernels was timed.
+    println!(
+        "\n=== Fusion-layer cost: MobileNet-CIFAR, batch {batch}, one thread, best of 5, {} ===",
+        dsx_tensor::isa::name()
+    );
     print!(
         "{:<12} {:>11} {:>5} {:>8}",
         "Layer", "Cin->Cout", "HxW", "MMAC"

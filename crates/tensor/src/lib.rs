@@ -20,6 +20,8 @@
 //!   the paper's "assign one GPU thread per output pixel" decomposition,
 //!   scheduled on [`pool`] — a persistent work-stealing worker pool so hot
 //!   kernel launches pay a queue push instead of OS thread startup.
+//! * [`isa`] — runtime AVX2 dispatch: [`isa::wide`] runs a kernel body at
+//!   the host's vector width, with results bit-identical to the baseline.
 //! * [`init`] — Kaiming / Xavier / uniform initialisers with deterministic
 //!   seeding so experiments are reproducible.
 //!
@@ -39,6 +41,7 @@
 pub mod checksum;
 pub mod conv;
 pub mod init;
+pub mod isa;
 pub mod matmul;
 pub mod ops;
 pub mod par;

@@ -183,45 +183,51 @@ pub fn matmul_block_into(
     assert!(col0 <= col1 && col1 <= n, "column range out of bounds");
     assert_eq!(b.len(), k * n, "B has wrong length");
     assert_eq!(c_rows.len(), (row1 - row0) * n, "C strip has wrong length");
-    let rows = row1 - row0;
-    // Column tiles are the outer loop so each `k × GEMM_LANES` B panel is
-    // touched once per row block while it is L1-hot, instead of streaming
-    // the whole of B once per row block.
-    let mut j = col0;
-    while j + GEMM_LANES <= col1 {
-        for ib in (0..rows).step_by(GEMM_MR) {
-            let rb = GEMM_MR.min(rows - ib);
-            let mut acc = [[0.0f32; GEMM_LANES]; GEMM_MR];
-            for p in 0..k {
-                let bv: &[f32; GEMM_LANES] = b[p * n + j..p * n + j + GEMM_LANES]
-                    .try_into()
-                    // lint: allow(panic) — the range is GEMM_LANES wide by
-                    // construction; failure means the tiler is broken.
-                    .expect("lane-sized strip");
-                for (r, acc_row) in acc.iter_mut().enumerate().take(rb) {
-                    let a_rp = a[(row0 + ib + r) * k + p];
-                    for (av, bl) in acc_row.iter_mut().zip(bv.iter()) {
-                        *av += a_rp * *bl;
+    crate::isa::wide(
+        #[inline(always)]
+        || {
+            let rows = row1 - row0;
+            // Column tiles are the outer loop so each `k × GEMM_LANES` B panel is
+            // touched once per row block while it is L1-hot, instead of streaming
+            // the whole of B once per row block.
+            let mut j = col0;
+            while j + GEMM_LANES <= col1 {
+                for ib in (0..rows).step_by(GEMM_MR) {
+                    let rb = GEMM_MR.min(rows - ib);
+                    let mut acc = [[0.0f32; GEMM_LANES]; GEMM_MR];
+                    for p in 0..k {
+                        let bv: &[f32; GEMM_LANES] = b[p * n + j..p * n + j + GEMM_LANES]
+                            .try_into()
+                            // lint: allow(panic) — the range is GEMM_LANES wide by
+                            // construction; failure means the tiler is broken.
+                            .expect("lane-sized strip");
+                        for (r, acc_row) in acc.iter_mut().enumerate().take(rb) {
+                            let a_rp = a[(row0 + ib + r) * k + p];
+                            for (av, bl) in acc_row.iter_mut().zip(bv.iter()) {
+                                *av += a_rp * *bl;
+                            }
+                        }
+                    }
+                    for (r, acc_row) in acc.iter().enumerate().take(rb) {
+                        c_rows[(ib + r) * n + j..(ib + r) * n + j + GEMM_LANES]
+                            .copy_from_slice(acc_row);
                     }
                 }
+                j += GEMM_LANES;
             }
-            for (r, acc_row) in acc.iter().enumerate().take(rb) {
-                c_rows[(ib + r) * n + j..(ib + r) * n + j + GEMM_LANES].copy_from_slice(acc_row);
+            // Scalar column tail: same ascending-p accumulation order.
+            for jj in j..col1 {
+                for i in 0..rows {
+                    let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
+                    let mut acc = 0.0f32;
+                    for (p, &a_rp) in a_row.iter().enumerate() {
+                        acc += a_rp * b[p * n + jj];
+                    }
+                    c_rows[i * n + jj] = acc;
+                }
             }
-        }
-        j += GEMM_LANES;
-    }
-    // Scalar column tail: same ascending-p accumulation order.
-    for jj in j..col1 {
-        for i in 0..rows {
-            let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            let mut acc = 0.0f32;
-            for (p, &a_rp) in a_row.iter().enumerate() {
-                acc += a_rp * b[p * n + jj];
-            }
-            c_rows[i * n + jj] = acc;
-        }
-    }
+        },
+    )
 }
 
 /// Sequential register-tiled GEMM ([`matmul_block_into`] over the full
